@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,36 @@ class Codebook:
         return float(
             max(self.max_gap / 2, 1.0 - self.values[-1], self.values[0] + 1.0)
         )
+
+    @cached_property
+    def thresholds(self) -> np.ndarray:
+        """Exact decision boundaries of nearest-code lookup, one per adjacent pair.
+
+        thresholds[j] is the largest float64 x for which the tie rule
+        (x - v[j]) <= (v[j+1] - x) still picks code j over code j+1. Both
+        differences are correctly rounded, so the rule is monotone in x and
+        bisection over the ordered integer keys of float64 values finds the
+        boundary exactly.
+        """
+        a, b = self.values[:-1], self.values[1:]
+        lo, hi = _ordered_key(a.view(np.int64)), _ordered_key(b.view(np.int64))
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            x = _ordered_key(mid).view(np.float64)
+            left = (x - a) <= (b - x)
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        t = _ordered_key(lo).view(np.float64)
+        t.flags.writeable = False
+        return t
+
+
+def _ordered_key(bits: np.ndarray) -> np.ndarray:
+    """Map float64 bit patterns to int64 keys in the same order, and back.
+
+    Negative floats have their magnitude bits inverted, so -0.0 sits just
+    below +0.0; the map is its own inverse.
+    """
+    return bits ^ ((bits >> 63) & np.int64(0x7FFF_FFFF_FFFF_FFFF))
 
 
 @dataclass(frozen=True)

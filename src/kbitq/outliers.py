@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import Codebook, CodebookKind
+from .codebooks import Codebook
 from .errors import (
     DimensionError,
     EmptyInputError,
@@ -27,9 +27,7 @@ from .quantizer import (
     QuantizedTensor,
     _check_input,
     _check_codebook_config,
-    _encode_blocks,
-    pack_indices,
-    to_float16,
+    _quantize,
 )
 
 
@@ -120,26 +118,4 @@ def quantize_mixed(W, J, codebook: Codebook, config: QuantConfig) -> QuantizedTe
             else f"outlier dims must be non-negative, got {dims[dims < 0]}"
         )
 
-    keep = np.ones(arr.shape[0], dtype=bool)
-    keep[dims] = False
-    rest = arr[keep].ravel()
-
-    if rest.size:
-        indices, absmax16, means16 = _encode_blocks(rest, codebook, config)
-        packed = pack_indices(indices, config.bits)
-    else:
-        packed, absmax16, means16 = b"", np.zeros(0, dtype=np.float16), None
-        if config.centered:
-            means16 = np.zeros(0, dtype=np.float16)
-
-    return QuantizedTensor(
-        shape=tuple(arr.shape),
-        config=config,
-        packed_indices=packed,
-        n_quantized=int(rest.size),
-        absmax=absmax16,
-        means=means16,
-        outlier_dims=dims,
-        outlier_rows=to_float16(arr[dims]).reshape(dims.size, arr.shape[1] if dims.size else 0),
-        codebook_values=codebook.values.copy() if config.kind is CodebookKind.QUANTILE else None,
-    )
+    return _quantize(arr, dims, codebook, config)

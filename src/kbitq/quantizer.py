@@ -8,8 +8,10 @@ outside [-1, 1]; nearest-code lookup clamps it to an extreme code. Blocks
 whose absolute maximum rounds to zero store the zero code everywhere,
 which reconstructs them exactly.
 
-All operations are pure and block-independent; results are deterministic
-regardless of evaluation order.
+All operations are pure and block-independent: encoding and decoding walk
+slabs of whole blocks, and no output depends on the slab size. Lookup is
+one binary search over exact decision thresholds cached per codebook, and
+codes are packed eight to a uint64 word lane (see pack_indices).
 """
 
 from __future__ import annotations
@@ -155,17 +157,15 @@ def to_float16(x) -> np.ndarray:
 def lookup_indices(codebook: Codebook, x) -> np.ndarray:
     """Nearest-code index for each element, ties toward the smaller index.
 
-    Uses binary search over the sorted codes; out-of-range inputs clamp to
-    an extreme code.
+    The index is the number of Codebook.thresholds strictly below the
+    element, found by one binary search. The thresholds are exact, so this
+    equals the two-sided rule (x - v[j]) <= (v[j+1] - x) bit for bit, ties
+    included; out-of-range inputs clamp to an extreme code.
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise InvalidValueError("cannot look up non-finite values")
-    values = codebook.values
-    j = np.searchsorted(values, arr)
-    j = np.clip(j, 1, values.size - 1)
-    take_left = (arr - values[j - 1]) <= (values[j] - arr)
-    return np.where(take_left, j - 1, j)
+    return np.searchsorted(codebook.thresholds, arr, side="left")
 
 
 def lookup_index(codebook: Codebook, x: float) -> int:
@@ -173,33 +173,84 @@ def lookup_index(codebook: Codebook, x: float) -> int:
     return int(lookup_indices(codebook, np.asarray(float(x))))
 
 
+def _lane_step(w: int, k: int):
+    """(shift, even mask, odd mask) of the merge of w-bit fields into 2w-bit ones.
+
+    Each w-bit field holds (w/8)*k code bits at its bottom; packing shifts
+    every odd field down onto its even neighbour.
+    """
+    used = (w // 8) * k
+    base = 0xFFFF_FFFF_FFFF_FFFF // ((1 << 2 * w) - 1)  # lowest bit of each 2w-bit field
+    even = base * ((1 << used) - 1)
+    return np.uint64(w - used), np.uint64(even), np.uint64(even << w)
+
+
 def pack_indices(indices, k: int) -> bytes:
     """Pack code indices into a little-endian bitstream, k bits each.
 
-    Bits fill each byte LSB-first; the final byte is zero-padded.
+    Code i occupies stream bits [i*k, (i+1)*k), bytes filled LSB-first,
+    the final byte zero-padded. Eight codes fill exactly k bytes, so each
+    group of eight is loaded one code per byte into a uint64 word lane and
+    merged (byte pairs, then 16- and 32-bit halves) into its low 8k bits,
+    whose low k bytes are the group's share of the stream.
     """
     _check_bits(k)
-    arr = np.asarray(indices)
+    arr = np.asarray(indices).ravel()
     if arr.size == 0:
         return b""
     if np.any(arr < 0) or np.any(arr >= 2**k):
         raise InvalidValueError(f"indices must be in [0, 2^{k})")
-    bits = np.unpackbits(arr.astype(np.uint8)[:, None], axis=1, bitorder="little")[:, :k]
-    return np.packbits(bits.ravel(), bitorder="little").tobytes()
+    groups = -(-arr.size // 8)
+    lanes = np.zeros((groups, 8), dtype=np.uint8)
+    lanes.reshape(-1)[: arr.size] = arr
+    words = lanes.view("<u8")
+    for w in (8, 16, 32):
+        shift, even, odd = _lane_step(w, k)
+        if shift:
+            moved = words & odd
+            moved >>= shift
+            words &= even
+            words |= moved
+    return lanes[:, :k].tobytes()[: -(-arr.size * k // 8)]
 
 
 def unpack_indices(data: bytes, k: int, count: int) -> np.ndarray:
-    """Inverse of pack_indices: recover `count` k-bit indices."""
+    """Inverse of pack_indices: recover `count` k-bit indices.
+
+    Each k-byte group is loaded into a uint64 lane and the merges undone.
+    """
     _check_bits(k)
     if count == 0:
         return np.zeros(0, dtype=np.uint8)
     needed = -(-count * k // 8)
     if len(data) < needed:
         raise LengthError(f"need {needed} bytes for {count} {k}-bit indices, got {len(data)}")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    bits = bits[: count * k].reshape(count, k).astype(np.uint16)
-    weights = (1 << np.arange(k, dtype=np.uint16))
-    return (bits * weights).sum(axis=1).astype(np.uint8)
+    groups = -(-count // 8)
+    stream = np.zeros(groups * k, dtype=np.uint8)
+    stream[:needed] = np.frombuffer(data, dtype=np.uint8, count=needed)
+    lanes = np.zeros((groups, 8), dtype=np.uint8)
+    lanes[:, :k] = stream.reshape(groups, k)
+    words = lanes.view("<u8")
+    for w in (32, 16, 8):
+        shift, even, odd = _lane_step(w, k)
+        if shift:
+            moved = words << shift
+            moved &= odd
+            words &= even
+            words |= moved
+    return lanes.reshape(-1)[:count]
+
+
+# Elements per slab of whole blocks; bounds the encoder's and decoder's temporaries.
+_SLAB_ELEMENTS = 1 << 18
+
+
+def _slabs(n: int, block_size: int):
+    """Yield (lo, hi, blocks): element range and block slice of each slab of whole blocks."""
+    step = block_size * max(1, _SLAB_ELEMENTS // block_size)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        yield lo, hi, slice(lo // block_size, -(-hi // block_size))
 
 
 def _block_layout(n: int, block_size: int | None):
@@ -209,24 +260,41 @@ def _block_layout(n: int, block_size: int | None):
     return starts, counts
 
 
+def _normalize(x: np.ndarray, block_size: int, centered: bool):
+    """Blockwise normalization of a slab of whole blocks.
+
+    Returns (normalized, absmax16, means16). Means come from
+    np.add.reduceat, which sums each block on its own. Blocks whose absmax
+    is zero normalize to 0.0, which looks up to the codebook's zero code.
+    """
+    starts, counts = _block_layout(x.size, block_size)
+    means16 = None
+    if centered:
+        means16 = to_float16(np.add.reduceat(x, starts) / counts)
+        x = x - np.repeat(means16.astype(np.float64), counts)
+    absmax16 = to_float16(np.maximum.reduceat(np.abs(x), starts))
+    live = absmax16 > 0
+    scale = np.where(live, absmax16.astype(np.float64), 1.0)
+    normalized = x / np.repeat(scale, counts)
+    if not live.all():
+        normalized[np.repeat(~live, counts)] = 0.0
+    return normalized, absmax16, means16
+
+
 def _encode_blocks(flat: np.ndarray, codebook: Codebook, config: QuantConfig):
     """Quantize a flat array; returns (indices, absmax16, means16)."""
     n = flat.size
-    starts, counts = _block_layout(n, config.block_size)
-
-    means16 = None
-    shifted = flat
-    if config.centered:
-        means = np.add.reduceat(flat, starts) / counts
-        means16 = to_float16(means)
-        shifted = flat - np.repeat(means16.astype(np.float64), counts)
-
-    absmax16 = to_float16(np.maximum.reduceat(np.abs(shifted), starts))
-    c = np.repeat(absmax16.astype(np.float64), counts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normalized = np.where(c > 0, shifted / np.where(c > 0, c, 1.0), 0.0)
-    indices = lookup_indices(codebook, normalized)
-    indices = np.where(c > 0, indices, codebook.zero_index)
+    b = config.block_size or max(n, 1)
+    n_blocks = -(-n // b)
+    indices = np.empty(n, dtype=np.uint8)
+    absmax16 = np.empty(n_blocks, dtype=np.float16)
+    means16 = np.empty(n_blocks, dtype=np.float16) if config.centered else None
+    for lo, hi, blocks in _slabs(n, b):
+        normalized, slab_absmax, slab_means = _normalize(flat[lo:hi], b, config.centered)
+        absmax16[blocks] = slab_absmax
+        if means16 is not None:
+            means16[blocks] = slab_means
+        indices[lo:hi] = lookup_indices(codebook, normalized)
     return indices, absmax16, means16
 
 
@@ -251,16 +319,26 @@ def quantize_tensor(t, codebook: Codebook, config: QuantConfig) -> QuantizedTens
     """Quantize a tensor of any shape with no outlier sidecar."""
     arr = _check_input(t)
     _check_codebook_config(codebook, config)
-    indices, absmax16, means16 = _encode_blocks(arr.ravel(), codebook, config)
+    return _quantize(arr, np.zeros(0, dtype=np.int32), codebook, config)
+
+
+def _quantize(arr, dims, codebook: Codebook, config: QuantConfig) -> QuantizedTensor:
+    """Quantize arr except its rows in dims (sorted, unique), kept at 16 bits."""
+    rest = np.delete(arr, dims, axis=0).ravel() if dims.size else arr.ravel()
+    indices, absmax16, means16 = _encode_blocks(rest, codebook, config)
     return QuantizedTensor(
         shape=tuple(arr.shape),
         config=config,
         packed_indices=pack_indices(indices, config.bits),
-        n_quantized=arr.size,
+        n_quantized=int(rest.size),
         absmax=absmax16,
         means=means16,
-        outlier_dims=np.zeros(0, dtype=np.int32),
-        outlier_rows=np.zeros((0, 0), dtype=np.float16),
+        outlier_dims=dims,
+        outlier_rows=(
+            to_float16(arr[dims]).reshape(dims.size, -1)
+            if dims.size
+            else np.zeros((0, 0), dtype=np.float16)
+        ),
         codebook_values=codebook.values.copy() if config.kind is CodebookKind.QUANTILE else None,
     )
 
@@ -301,14 +379,10 @@ def codebook_for(t, config: QuantConfig) -> Codebook:
     if config.kind is not CodebookKind.QUANTILE:
         return _fixed_codebook(config)
     arr = _check_input(t).ravel()
-    starts, counts = _block_layout(arr.size, config.block_size)
-    shifted = arr
-    if config.centered:
-        means16 = to_float16(np.add.reduceat(arr, starts) / counts)
-        shifted = arr - np.repeat(means16.astype(np.float64), counts)
-    c = np.repeat(to_float16(np.maximum.reduceat(np.abs(shifted), starts)).astype(np.float64), counts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sample = np.where(c > 0, shifted / np.where(c > 0, c, 1.0), 0.0)
+    b = config.block_size or arr.size
+    sample = np.empty(arr.size)
+    for lo, hi, _ in _slabs(arr.size, b):
+        sample[lo:hi] = _normalize(arr[lo:hi], b, config.centered)[0]
     if not np.any(sample):
         raise InvalidValueError("cannot estimate a quantile codebook from an all-zero tensor")
     return build_quantile_codebook(QuantileSpec(config.bits, sample))
@@ -331,14 +405,18 @@ def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None) -> n
         raise CorruptDataError(
             f"index {int(indices.max())} out of range for {len(codebook)}-code codebook"
         )
-    starts, counts = _block_layout(q.n_quantized, q.config.block_size)
-    if q.absmax.size != starts.size:
-        raise CorruptDataError(
-            f"expected {starts.size} block constants, found {q.absmax.size}"
-        )
-    decoded = codebook.values[indices] * np.repeat(q.absmax.astype(np.float64), counts)
-    if q.means is not None:
-        decoded = decoded + np.repeat(q.means.astype(np.float64), counts)
+    b = q.block_size
+    for name, stored in (("block constants", q.absmax), ("block means", q.means)):
+        if stored is not None and stored.size != q.n_blocks:
+            raise CorruptDataError(f"expected {q.n_blocks} {name}, found {stored.size}")
+    decoded = np.empty(q.n_quantized)
+    for lo, hi, blocks in _slabs(q.n_quantized, b):
+        counts = _block_layout(hi - lo, b)[1]
+        slab = decoded[lo:hi]
+        scale = np.repeat(q.absmax[blocks].astype(np.float64), counts)
+        np.multiply(codebook.values[indices[lo:hi]], scale, out=slab)
+        if q.means is not None:
+            slab += np.repeat(q.means[blocks].astype(np.float64), counts)
 
     if q.outlier_dims.size == 0:
         return decoded.reshape(q.shape)

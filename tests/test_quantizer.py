@@ -21,7 +21,8 @@ from kbitq import (
     quantize_tensor,
     unpack_indices,
 )
-from kbitq.codebooks import FloatSpec
+from kbitq import quantizer
+from kbitq.codebooks import FloatSpec, build_uint_codebook
 from kbitq.errors import (
     CorruptDataError,
     EmptyInputError,
@@ -31,6 +32,7 @@ from kbitq.errors import (
     LengthError,
     PrecisionRangeError,
 )
+from kbitq.outliers import quantize_mixed
 from kbitq.quantizer import QuantizedTensor, to_float16
 
 RNG_KEY = 1234
@@ -85,6 +87,96 @@ class TestLookup:
             lookup_index(book, float("nan"))
         with pytest.raises(InvalidValueError):
             lookup_indices(book, np.array([0.0, np.inf]))
+
+
+def two_sided_lookup(values, xs):
+    """Reference lookup: bracket with searchsorted, then compare both distances."""
+    j = np.clip(np.searchsorted(values, xs), 1, values.size - 1)
+    return np.where((xs - values[j - 1]) <= (values[j] - xs), j - 1, j)
+
+
+def builtin_codebooks():
+    books = {}
+    for k in range(2, 9):
+        books[f"int{k}"] = build_int_codebook(k)
+        books[f"uint{k}"] = build_uint_codebook(k)
+        books[f"dynamic{k}"] = build_dynamic_codebook(DynamicSpec(k))
+        books[f"quantile{k}"] = build_quantile_codebook(QuantileSpec(k, rng(k).standard_t(3, 5000)))
+        for e in range(1, k) if k >= 3 else ():
+            books[f"float{k}-e{e}"] = build_float_codebook(FloatSpec(k, e))
+    return books
+
+
+def ulp_neighbourhood(points):
+    points = np.asarray(points, dtype=np.float64)
+    return np.concatenate(
+        [points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)]
+    )
+
+
+BUILTIN_CODEBOOKS = builtin_codebooks()
+
+
+class TestExactThresholds:
+    """The threshold search must equal the two-sided rule at every tie."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CODEBOOKS))
+    def test_matches_two_sided_rule_at_ties(self, name):
+        book = BUILTIN_CODEBOOKS[name]
+        v = book.values
+        probes = np.concatenate(
+            [
+                ulp_neighbourhood((v[:-1] + v[1:]) / 2),
+                ulp_neighbourhood(v),
+                ulp_neighbourhood(book.thresholds),
+                [0.0, -0.0, 5.0, -5.0],
+            ]
+        )
+        assert np.array_equal(lookup_indices(book, probes), two_sided_lookup(v, probes))
+        # zero blocks normalize to 0.0 and rely on it finding the zero code
+        assert np.all(lookup_indices(book, np.array([0.0, -0.0])) == book.zero_index)
+
+    def test_thresholds_are_last_value_kept_left(self):
+        book = build_float_codebook(FloatSpec(5, 2))
+        t = book.thresholds
+        assert t.size == len(book) - 1 and not t.flags.writeable
+        assert np.array_equal(two_sided_lookup(book.values, t), np.arange(t.size))
+        above = np.nextafter(t, np.inf)
+        assert np.array_equal(two_sided_lookup(book.values, above), np.arange(1, t.size + 1))
+
+    def test_thresholds_cached_per_codebook(self):
+        book = build_int_codebook(5)
+        assert book.thresholds is book.thresholds
+
+
+def reference_pack(indices, k):
+    bits = np.unpackbits(np.asarray(indices, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    return np.packbits(bits[:, :k].ravel(), bitorder="little").tobytes()
+
+
+def reference_unpack(data, k, count):
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    bits = bits[: count * k].reshape(count, k).astype(np.uint16)
+    return (bits << np.arange(k, dtype=np.uint16)).sum(axis=1)
+
+
+class TestWordLanes:
+    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 8 * 37 + 3])
+    def test_matches_bit_matrix_reference(self, k, n):
+        indices = rng(50 + k * 100 + n).integers(0, 2**k, n)
+        indices[0], indices[-1] = 2**k - 1, 0 if n > 1 else 2**k - 1
+        packed = pack_indices(indices, k)
+        assert packed == reference_pack(indices, k)
+        # stray padding bits and trailing bytes must not leak into the codes
+        noisy = bytearray(packed)
+        noisy[-1] |= 0xFF << ((n * k) % 8 or 8) & 0xFF
+        noisy += b"\xff\xa5"
+        for data in (packed, bytes(noisy)):
+            out = unpack_indices(data, k, n)
+            assert out.dtype == np.uint8
+            assert np.array_equal(out, reference_unpack(data, k, n))
+            assert np.array_equal(out, indices)
 
 
 class TestPacking:
@@ -278,6 +370,14 @@ class TestQuantizeRoundTrip:
         with pytest.raises(CorruptDataError):
             dequantize_tensor(bad, book)
 
+    @pytest.mark.parametrize("n_means", [1, 3])
+    def test_wrong_means_count_detected(self, n_means):
+        config = QuantConfig(kind="int", bits=4, block_size=4, centered=True)
+        q = quantize_tensor(np.arange(8.0), build_int_codebook(4), config)
+        q.means = np.zeros(n_means, dtype=np.float16)  # two blocks need two means
+        with pytest.raises(CorruptDataError):
+            dequantize_tensor(q)
+
 
 class TestFloat16Storage:
     def test_round_to_nearest_even(self):
@@ -295,3 +395,37 @@ class TestFloat16Storage:
         x = np.array([2049.0, 1.0, -3.0, 5.0])  # 2049 rounds to 2048 in fp16
         q = quantize_tensor(x, build_int_codebook(4), config)
         assert q.indices()[0] == 14  # the +1.0 code
+
+
+class TestSlabs:
+    """Slab size is an internal memory bound; it must not change any output."""
+
+    CASES = [
+        ("int", 4, 64, False, None),
+        ("float", 3, 100, True, None),
+        ("quantile", 3, 64, True, None),
+        ("dynamic", 5, 100, False, [2, 7]),
+    ]
+
+    @staticmethod
+    def run(kind, bits, block, centered, dims):
+        x = rng(77).standard_t(4, (23, 37)) + 0.25
+        x.reshape(-1)[200:400] = 0.0  # whole zero blocks at both block sizes
+        config = QuantConfig(kind=kind, bits=bits, block_size=block, centered=centered)
+        book = codebook_for(x, config)
+        if dims is None:
+            q = quantize_tensor(x, book, config)
+        else:
+            q = quantize_mixed(x, dims, book, config)
+        return book, q, dequantize_tensor(q)
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}{c[1]}-b{c[2]}")
+    @pytest.mark.parametrize("blocks_per_slab", [1, 3, 2.5])
+    def test_tiny_slabs_give_equal_tensor(self, monkeypatch, case, blocks_per_slab):
+        book, q, decoded = self.run(*case)
+        # a slab that is not a whole number of blocks rounds down to one
+        monkeypatch.setattr(quantizer, "_SLAB_ELEMENTS", int(blocks_per_slab * case[2]))
+        small_book, small_q, small_decoded = self.run(*case)
+        assert np.array_equal(small_book.values, book.values)
+        assert small_q == q
+        assert np.array_equal(small_decoded, decoded)
