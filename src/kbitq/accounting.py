@@ -134,26 +134,36 @@ def error_metrics(original, dequantized, q: QuantizedTensor) -> ErrorReport:
     b = np.asarray(dequantized, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    err = a - b
-    err_power = float(np.mean(err**2))
-    lossless = err_power == 0.0
+    # one tensor-sized temporary at a time: a^2, then |a - b| squared in place
     signal = float(np.mean(a**2))
+    err = a - b
+    np.abs(err, out=err)
+    mae = float(np.mean(err))
+    max_abs_error = float(np.max(err))
+    err_power = float(np.mean(np.square(err, out=err)))
+    del err
+    lossless = err_power == 0.0
     if lossless or signal == 0.0:
         # lossless has no finite ratio; zero signal has no meaningful one
         snr = None
     else:
         snr = 10.0 * np.log10(signal / err_power)
 
-    n_codes = len(reconstruct_codebook(q))
-    used = np.unique(q.indices()).size if q.n_quantized else 0
+    used, n_codes = code_use(q)
     return ErrorReport(
-        mae=float(np.mean(np.abs(err))),
+        mae=mae,
         mse=err_power,
-        max_abs_error=float(np.max(np.abs(err))),
+        max_abs_error=max_abs_error,
         snr_db=None if snr is None else float(snr),
         lossless=lossless,
         codebook_utilization=used / n_codes,
     )
+
+
+def code_use(q: QuantizedTensor) -> tuple[int, int]:
+    """(codes used by at least one element, codes in the tensor's codebook)."""
+    n_codes = len(reconstruct_codebook(q))
+    return int(np.count_nonzero(np.bincount(q.indices(), minlength=n_codes))), n_codes
 
 
 def pearson_correlation(x, y) -> float:

@@ -167,8 +167,11 @@ def cmd_quantize(args) -> int:
 
 def cmd_dequantize(args) -> int:
     quantized = store.read_kbq(args.input)
-    decoded = {name: quantizer.dequantize_tensor(q) for name, q in quantized.items()}
-    store.write_container(args.output, {n: v.astype(np.float32) for n, v in decoded.items()})
+    # cast each decode as it is made, so no two float64 tensors are held at once
+    decoded = {
+        name: quantizer.dequantize_tensor(q).astype(np.float32) for name, q in quantized.items()
+    }
+    store.write_container(args.output, decoded)
     _emit(
         {
             "output": str(args.output),
@@ -289,8 +292,7 @@ def cmd_sweep(args) -> int:
             abs_err += float(np.sum(np.abs(err)))
             max_err = max(max_err, float(np.max(np.abs(err))))
             signal += float(np.sum(tensors[name] ** 2))
-            used = np.unique(q.indices()).size if q.n_quantized else 0
-            n_codes = len(quantizer.reconstruct_codebook(q))
+            used, n_codes = accounting.code_use(q)
             weighted_util += q.element_count * used / n_codes
         mse = sq_err / total_elements
         lossless = mse == 0.0
