@@ -10,12 +10,12 @@ headline deliberately ignores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DimensionError, EmptyInputError, UndefinedCorrelationError
-from .quantizer import QuantConfig, QuantizedTensor, reconstruct_codebook
+from .quantizer import QuantConfig, QuantizedTensor, block_count, reconstruct_codebook
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,7 @@ class BitsBreakdown:
         return self.base_bits + self.block_overhead + self.centering_overhead + self.outlier_overhead
 
     def as_dict(self) -> dict:
-        return {
-            "base_bits": self.base_bits,
-            "block_overhead": self.block_overhead,
-            "centering_overhead": self.centering_overhead,
-            "outlier_overhead": self.outlier_overhead,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 @dataclass(frozen=True)
@@ -57,14 +51,7 @@ class ErrorReport:
     codebook_utilization: float
 
     def as_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "mse": self.mse,
-            "max_abs_error": self.max_abs_error,
-            "snr_db": self.snr_db,
-            "lossless": self.lossless,
-            "codebook_utilization": self.codebook_utilization,
-        }
+        return asdict(self)
 
 
 def bits_per_param(config: QuantConfig, element_count: int | None = None) -> BitsBreakdown:
@@ -87,17 +74,31 @@ def bits_per_param(config: QuantConfig, element_count: int | None = None) -> Bit
     )
 
 
+def section_bytes(
+    config: QuantConfig, n_quantized: int, n_dims: int, n_outlier_values: int, n_codes: int
+) -> dict[str, int]:
+    """Exact byte size of each KBQ section of a tensor with these counts.
+
+    means is always a section, empty unless the config is centered;
+    codebook holds the n_codes embedded values of a quantile tensor.
+    """
+    n_blocks = block_count(n_quantized, config.block_size)
+    return {
+        "indices": -(-n_quantized * config.bits // 8),
+        "absmax": 2 * n_blocks,
+        "means": 2 * n_blocks if config.centered else 0,
+        "outlier_dims": 4 * n_dims,
+        "outlier_rows": 2 * n_outlier_values,
+        "codebook": 8 * n_codes,
+    }
+
+
 def payload_sections(q: QuantizedTensor) -> dict[str, int]:
     """Exact byte size of each serialized section of a quantized tensor."""
-    cfg = q.config
-    return {
-        "indices": -(-q.n_quantized * cfg.bits // 8),
-        "absmax": 2 * q.n_blocks,
-        "means": 2 * q.n_blocks if cfg.centered else 0,
-        "outlier_dims": 4 * int(q.outlier_dims.size),
-        "outlier_rows": 2 * int(q.outlier_rows.size),
-        "codebook": 8 * int(q.codebook_values.size) if q.codebook_values is not None else 0,
-    }
+    n_codes = 0 if q.codebook_values is None else int(q.codebook_values.size)
+    return section_bytes(
+        q.config, q.n_quantized, int(q.outlier_dims.size), int(q.outlier_rows.size), n_codes
+    )
 
 
 def total_model_bits(tensors) -> int:
@@ -119,45 +120,56 @@ def total_model_bits(tensors) -> int:
         if count <= 0:
             raise EmptyInputError("element counts must be positive")
         n_out = int(np.floor(config.outlier_fraction * count + 0.5))
-        n_coded = count - n_out
-        block = config.block_size or max(n_coded, 1)
-        n_blocks = -(-n_coded // block) if n_coded else 0
-        total_bytes += -(-n_coded * config.bits // 8)
-        total_bytes += 2 * n_blocks * (2 if config.centered else 1)
-        total_bytes += 2 * n_out
+        total_bytes += sum(section_bytes(config, count - n_out, 0, n_out, 0).values())
     return 8 * total_bytes
+
+
+class ErrorSums:
+    """Running error sums over one or more tensors, in the order added."""
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.signal = self.abs_err = self.sq_err = self.max_abs_error = 0.0
+
+    def add(self, original, dequantized) -> None:
+        a = np.asarray(original, dtype=np.float64)
+        b = np.asarray(dequantized, dtype=np.float64)
+        if a.shape != b.shape:
+            raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+        # one tensor-sized temporary at a time: a^2, then |a - b| squared in place
+        self.n += a.size
+        self.signal += float(np.sum(a**2))
+        err = a - b
+        np.abs(err, out=err)
+        self.abs_err += float(np.sum(err))
+        self.max_abs_error = max(self.max_abs_error, float(np.max(err)))
+        self.sq_err += float(np.sum(np.square(err, out=err)))
+
+    def report(self, codebook_utilization: float) -> ErrorReport:
+        signal = self.signal / self.n
+        err_power = self.sq_err / self.n
+        lossless = err_power == 0.0
+        if lossless or signal == 0.0:
+            # lossless has no finite ratio; zero signal has no meaningful one
+            snr = None
+        else:
+            snr = float(10.0 * np.log10(signal / err_power))
+        return ErrorReport(
+            mae=self.abs_err / self.n,
+            mse=err_power,
+            max_abs_error=self.max_abs_error,
+            snr_db=snr,
+            lossless=lossless,
+            codebook_utilization=codebook_utilization,
+        )
 
 
 def error_metrics(original, dequantized, q: QuantizedTensor) -> ErrorReport:
     """Compare a tensor against its reconstruction."""
-    a = np.asarray(original, dtype=np.float64)
-    b = np.asarray(dequantized, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    # one tensor-sized temporary at a time: a^2, then |a - b| squared in place
-    signal = float(np.mean(a**2))
-    err = a - b
-    np.abs(err, out=err)
-    mae = float(np.mean(err))
-    max_abs_error = float(np.max(err))
-    err_power = float(np.mean(np.square(err, out=err)))
-    del err
-    lossless = err_power == 0.0
-    if lossless or signal == 0.0:
-        # lossless has no finite ratio; zero signal has no meaningful one
-        snr = None
-    else:
-        snr = 10.0 * np.log10(signal / err_power)
-
+    sums = ErrorSums()
+    sums.add(original, dequantized)
     used, n_codes = code_use(q)
-    return ErrorReport(
-        mae=mae,
-        mse=err_power,
-        max_abs_error=max_abs_error,
-        snr_db=None if snr is None else float(snr),
-        lossless=lossless,
-        codebook_utilization=used / n_codes,
-    )
+    return sums.report(used / n_codes)
 
 
 def code_use(q: QuantizedTensor) -> tuple[int, int]:

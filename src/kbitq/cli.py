@@ -9,6 +9,7 @@ generator, so every command is reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -113,14 +114,14 @@ def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig)
     return result
 
 
-def _config_from_args(args, kind=None, bits=None, block=None, centered=None, p=None):
+def _config_from_args(args):
     return quantizer.QuantConfig(
-        kind=CodebookKind(kind if kind is not None else args.dtype),
-        bits=bits if bits is not None else args.bits,
-        block_size=block if block is not None else args.block_size,
-        centered=centered if centered is not None else args.centered,
-        outlier_fraction=p if p is not None else args.outlier_p,
-        exponent_bits=getattr(args, "exponent_bits", None),
+        kind=CodebookKind(args.dtype),
+        bits=args.bits,
+        block_size=args.block_size,
+        centered=args.centered,
+        outlier_fraction=args.outlier_p,
+        exponent_bits=args.exponent_bits,
     )
 
 
@@ -129,10 +130,10 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _tensor_summary(name, arr, q, config):
+def _tensor_summary(arr, q):
     decoded = quantizer.dequantize_tensor(q)
     report = accounting.error_metrics(arr, decoded, q)
-    breakdown = accounting.bits_per_param(config, element_count=q.element_count)
+    breakdown = accounting.bits_per_param(q.config, element_count=q.element_count)
     return {
         "shape": list(q.shape),
         "outlier_dims": int(q.outlier_dims.size),
@@ -155,10 +156,7 @@ def cmd_quantize(args) -> int:
     _emit(
         {
             "output": str(output),
-            "tensors": {
-                name: _tensor_summary(name, tensors[name], quantized[name], config)
-                for name in quantized
-            },
+            "tensors": {name: _tensor_summary(tensors[name], q) for name, q in quantized.items()},
             "total_model_bits": accounting.total_model_bits(quantized.values()),
         }
     )
@@ -189,14 +187,7 @@ def cmd_inspect(args) -> int:
         breakdown = accounting.bits_per_param(q.config, element_count=q.element_count)
         entry = {
             "shape": list(q.shape),
-            "config": {
-                "kind": q.config.kind.value,
-                "bits": q.config.bits,
-                "block_size": q.config.block_size,
-                "centered": q.config.centered,
-                "outlier_fraction": q.config.outlier_fraction,
-                "exponent_bits": q.config.exponent_bits,
-            },
+            "config": dataclasses.asdict(q.config),
             "n_quantized": q.n_quantized,
             "outlier_dims": int(q.outlier_dims.size),
             "bits_per_param": breakdown.as_dict(),
@@ -220,21 +211,14 @@ def cmd_inspect(args) -> int:
 
 def cmd_codebook(args) -> int:
     kind = CodebookKind(args.kind)
-    if kind is CodebookKind.INT:
-        book = codebooks.build_int_codebook(args.bits)
-    elif kind is CodebookKind.FLOAT:
-        e = args.exponent_bits or codebooks.default_exponent_bits(args.bits)
-        book = codebooks.build_float_codebook(codebooks.FloatSpec(args.bits, e))
-    elif kind is CodebookKind.DYNAMIC:
-        book = codebooks.build_dynamic_codebook(codebooks.DynamicSpec(args.bits))
-    elif kind is CodebookKind.QUANTILE:
+    if kind is CodebookKind.QUANTILE:
         if not args.sample:
             raise _UsageError("--kind quantile requires --sample CONTAINER")
         container = store.read_container(args.sample)
         sample = np.concatenate([arr.ravel() for _, arr in container.items()])
         book = codebooks.build_quantile_codebook(codebooks.QuantileSpec(args.bits, sample))
     else:
-        raise _UsageError(f"unsupported kind {args.kind!r}")
+        book = quantizer._fixed_codebook(kind, args.bits, args.exponent_bits)
     _emit({"kind": book.kind.value, "bits": book.bits, "values": book.values.tolist()})
     return 0
 
@@ -284,19 +268,13 @@ def cmd_sweep(args) -> int:
             kind=CodebookKind(kind), bits=k, block_size=block, centered=center, outlier_fraction=p
         )
         quantized = _quantize_all(tensors, config)
-        sq_err = abs_err = max_err = signal = 0.0
+        sums = accounting.ErrorSums()
         weighted_util = 0.0
         for name, q in quantized.items():
-            err = tensors[name] - quantizer.dequantize_tensor(q)
-            sq_err += float(np.sum(err**2))
-            abs_err += float(np.sum(np.abs(err)))
-            max_err = max(max_err, float(np.max(np.abs(err))))
-            signal += float(np.sum(tensors[name] ** 2))
+            sums.add(tensors[name], quantizer.dequantize_tensor(q))
             used, n_codes = accounting.code_use(q)
             weighted_util += q.element_count * used / n_codes
-        mse = sq_err / total_elements
-        lossless = mse == 0.0
-        snr = None if lossless else 10.0 * np.log10((signal / total_elements) / mse)
+        report = sums.report(weighted_util / total_elements)
         e_bits = (
             codebooks.default_exponent_bits(k) if CodebookKind(kind) is CodebookKind.FLOAT else None
         )
@@ -311,12 +289,12 @@ def cmd_sweep(args) -> int:
                     center,
                     p,
                     accounting.total_model_bits(quantized.values()) / total_elements,
-                    abs_err / total_elements,
-                    mse,
-                    max_err,
-                    None if snr is None else float(snr),
-                    lossless,
-                    weighted_util / total_elements,
+                    report.mae,
+                    report.mse,
+                    report.max_abs_error,
+                    report.snr_db,
+                    report.lossless,
+                    report.codebook_utilization,
                 )
             )
         )
@@ -407,18 +385,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, KbitqError, OSError) as exc:
         print(f"kbitq {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except _USAGE_ERRORS as exc:
-        print(f"kbitq {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except DataFormatError as exc:
-        print(f"kbitq {args.command}: {exc}", file=sys.stderr)
-        return 3
-    except (KbitqError, OSError) as exc:
-        print(f"kbitq {args.command}: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (_UsageError, *_USAGE_ERRORS)):
+            return 2
+        return 3 if isinstance(exc, DataFormatError) else 1
 
 
 def run() -> None:

@@ -115,7 +115,7 @@ class QuantizedTensor:
 
     @property
     def n_blocks(self) -> int:
-        return -(-self.n_quantized // self.block_size) if self.n_quantized else 0
+        return block_count(self.n_quantized, self.config.block_size)
 
     def indices(self) -> np.ndarray:
         """Unpacked code indices, one per quantized element."""
@@ -141,6 +141,11 @@ class QuantizedTensor:
             and same(self.outlier_rows, other.outlier_rows)
             and same(self.codebook_values, other.codebook_values)
         )
+
+
+def block_count(n: int, block_size: int | None) -> int:
+    """Blocks covering n elements; block_size None is one block of all of them."""
+    return -(-n // (block_size or max(n, 1)))
 
 
 def to_float16(x) -> np.ndarray:
@@ -285,7 +290,7 @@ def _encode_blocks(flat: np.ndarray, codebook: Codebook, config: QuantConfig):
     """Quantize a flat array; returns (indices, absmax16, means16)."""
     n = flat.size
     b = config.block_size or max(n, 1)
-    n_blocks = -(-n // b)
+    n_blocks = block_count(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
     absmax16 = np.empty(n_blocks, dtype=np.float16)
     means16 = np.empty(n_blocks, dtype=np.float16) if config.centered else None
@@ -354,18 +359,19 @@ def reconstruct_codebook(q: QuantizedTensor) -> Codebook:
         if q.codebook_values is None:
             raise CorruptDataError("quantile tensor is missing its embedded codebook")
         return Codebook(CodebookKind.QUANTILE, cfg.bits, q.codebook_values)
-    return _fixed_codebook(cfg)
+    return _fixed_codebook(cfg.kind, cfg.bits, cfg.exponent_bits)
 
 
-def _fixed_codebook(config: QuantConfig) -> Codebook:
-    if config.kind is CodebookKind.INT:
-        return build_int_codebook(config.bits)
-    if config.kind is CodebookKind.FLOAT:
-        e = config.exponent_bits or default_exponent_bits(config.bits)
-        return build_float_codebook(FloatSpec(config.bits, e))
-    if config.kind is CodebookKind.DYNAMIC:
-        return build_dynamic_codebook(DynamicSpec(config.bits))
-    raise InvalidSpecError(f"no fixed codebook for kind {config.kind.value!r}")
+def _fixed_codebook(kind: CodebookKind, bits: int, exponent_bits: int | None) -> Codebook:
+    """The int, float or dynamic codebook of a width; exponent_bits only shapes floats."""
+    if kind is CodebookKind.INT:
+        return build_int_codebook(bits)
+    if kind is CodebookKind.FLOAT:
+        e = exponent_bits or default_exponent_bits(bits)
+        return build_float_codebook(FloatSpec(bits, e))
+    if kind is CodebookKind.DYNAMIC:
+        return build_dynamic_codebook(DynamicSpec(bits))
+    raise InvalidSpecError(f"no fixed codebook for kind {kind.value!r}")
 
 
 def codebook_for(t, config: QuantConfig) -> Codebook:
@@ -377,7 +383,7 @@ def codebook_for(t, config: QuantConfig) -> Codebook:
     absmax-normalized tensor).
     """
     if config.kind is not CodebookKind.QUANTILE:
-        return _fixed_codebook(config)
+        return _fixed_codebook(config.kind, config.bits, config.exponent_bits)
     arr = _check_input(t).ravel()
     b = config.block_size or arr.size
     sample = np.empty(arr.size)

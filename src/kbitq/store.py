@@ -24,6 +24,7 @@ from .errors import (
     LengthError,
     ParseError,
 )
+from .accounting import section_bytes
 from .quantizer import QuantConfig, QuantizedTensor
 
 KBQ_MAGIC = b"KBQ1"
@@ -251,40 +252,40 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
                     raise CorruptDataError(f"{path}: tensor {name!r} is missing section {what!r}")
                 return _read_section(blob, sections[what], path, f"{name}/{what}")
 
+            quantile = config.kind is CodebookKind.QUANTILE
             row_width = shape[1] if len(shape) > 1 else 1
-            dims = np.frombuffer(sec("outlier_dims"), dtype="<i4").astype(np.int32)
+            n_dims = len(sec("outlier_dims")) // 4
+            n_codes = len(sec("codebook")) // 8 if quantile else 0
+            expected = section_bytes(config, n_quantized, n_dims, n_dims * row_width, n_codes)
+            raw = {what: sec(what) for what in expected if quantile or what != "codebook"}
+            for what, data in raw.items():
+                if len(data) != expected[what]:
+                    raise CorruptDataError(
+                        f"{path}: tensor {name!r} section {what!r} holds {len(data)} bytes, "
+                        f"manifest arithmetic needs {expected[what]}"
+                    )
             q = QuantizedTensor(
                 shape=shape,
                 config=config,
-                packed_indices=sec("indices"),
+                packed_indices=raw["indices"],
                 n_quantized=n_quantized,
-                absmax=np.frombuffer(sec("absmax"), dtype="<f2").astype(np.float16),
+                absmax=np.frombuffer(raw["absmax"], dtype="<f2").astype(np.float16),
                 means=(
-                    np.frombuffer(sec("means"), dtype="<f2").astype(np.float16)
+                    np.frombuffer(raw["means"], dtype="<f2").astype(np.float16)
                     if config.centered
                     else None
                 ),
-                outlier_dims=dims,
-                outlier_rows=np.frombuffer(sec("outlier_rows"), dtype="<f2")
+                outlier_dims=np.frombuffer(raw["outlier_dims"], dtype="<i4").astype(np.int32),
+                outlier_rows=np.frombuffer(raw["outlier_rows"], dtype="<f2")
                 .astype(np.float16)
-                .reshape(dims.size, row_width if dims.size else 0),
+                .reshape(n_dims, row_width if n_dims else 0),
                 codebook_values=(
-                    np.frombuffer(sec("codebook"), dtype="<f8").astype(np.float64)
-                    if config.kind is CodebookKind.QUANTILE
+                    np.frombuffer(raw["codebook"], dtype="<f8").astype(np.float64)
+                    if quantile
                     else None
                 ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptDataError(f"{path}: tensor {name!r} manifest entry is invalid: {exc}") from exc
-        expected_idx_bytes = -(-n_quantized * config.bits // 8)
-        if len(q.packed_indices) != expected_idx_bytes:
-            raise CorruptDataError(
-                f"{path}: tensor {name!r} index section holds {len(q.packed_indices)} bytes, "
-                f"manifest arithmetic needs {expected_idx_bytes}"
-            )
-        if q.absmax.size != q.n_blocks:
-            raise CorruptDataError(
-                f"{path}: tensor {name!r} has {q.absmax.size} constants for {q.n_blocks} blocks"
-            )
         out[name] = q
     return out
