@@ -399,12 +399,16 @@ def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None) -> n
 
     Looks up each code, scales by the block constant, re-adds the block
     mean when present, and restores outlier rows from the sidecar. If no
-    codebook is passed it is reconstructed from the tensor itself.
+    codebook is passed it is reconstructed from the tensor itself; a
+    quantile codebook passed in must equal the one the tensor embeds.
     """
     if codebook is None:
         codebook = reconstruct_codebook(q)
     else:
         _check_codebook_config(codebook, q.config)
+        quantile = q.config.kind is CodebookKind.QUANTILE
+        if quantile and not np.array_equal(codebook.values, q.codebook_values):
+            raise InvalidSpecError("codebook values differ from the tensor's embedded codebook")
 
     indices = q.indices()
     if indices.size and int(indices.max()) >= len(codebook):

@@ -13,6 +13,7 @@ codebook values). All multi-byte integers are little-endian.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .accounting import section_bytes
-from .quantizer import QuantConfig, QuantizedTensor
+from .quantizer import QuantConfig, QuantizedTensor, reconstruct_codebook
 
 KBQ_MAGIC = b"KBQ1"
 KBQ_VERSION = 1
@@ -91,10 +92,9 @@ def read_container(path) -> TensorContainer:
             raise ParseError(f"{path}: tensor {name!r} entry is malformed: {exc}") from exc
         if dtype not in _DTYPES:
             raise ParseError(f"{path}: tensor {name!r} has unsupported dtype {dtype!r}")
-        try:
-            expected = int(np.prod(shape, dtype=np.int64)) * _DTYPES[dtype].itemsize
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: tensor {name!r} has a malformed shape: {exc}") from exc
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ParseError(f"{path}: tensor {name!r} shape {shape!r} is not a list of sizes >= 0")
+        expected = math.prod(shape) * _DTYPES[dtype].itemsize
         if end - begin != expected:
             raise ParseError(
                 f"{path}: tensor {name!r} spans {end - begin} bytes, shape needs {expected}"
@@ -213,6 +213,21 @@ def _read_section(blob: bytes, span, path, what: str) -> bytes:
     return blob[offset : offset + length]
 
 
+def _check_layout(q: QuantizedTensor, row_width: int, where: str) -> None:
+    """Reject a shape, outlier sidecar or element count the decoder cannot honour."""
+    dims = q.outlier_dims
+    n_rows = q.shape[0] if q.shape else 0
+    if any(s < 0 for s in q.shape):
+        raise CorruptDataError(f"{where} has a negative size in shape {list(q.shape)}")
+    if dims.size and (dims[0] < 0 or dims[-1] >= n_rows or np.any(np.diff(dims) <= 0)):
+        raise CorruptDataError(f"{where} outlier dims must ascend strictly within [0, {n_rows})")
+    expected = math.prod(q.shape) - dims.size * row_width
+    if q.n_quantized != expected:
+        raise CorruptDataError(
+            f"{where} has n_quantized {q.n_quantized}, its shape and outlier rows need {expected}"
+        )
+
+
 def read_kbq(path) -> dict[str, QuantizedTensor]:
     """Load a KBQ file back into quantized tensors."""
     with open(path, "rb") as fh:
@@ -228,6 +243,8 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
         manifest = json.loads(blob[8 : 8 + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptDataError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", {}), dict):
+        raise CorruptDataError(f"{path}: manifest and its tensors must be JSON objects")
     if manifest.get("version") != KBQ_VERSION:
         raise FormatError(f"{path}: unsupported version {manifest.get('version')!r}")
 
@@ -285,7 +302,10 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
                     else None
                 ),
             )
+            if quantile:
+                reconstruct_codebook(q)  # raises InvalidSpecError, a ValueError, if malformed
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptDataError(f"{path}: tensor {name!r} manifest entry is invalid: {exc}") from exc
+        _check_layout(q, row_width, f"{path}: tensor {name!r}")
         out[name] = q
     return out

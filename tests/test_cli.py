@@ -1,11 +1,22 @@
 """Command-line surface: payload formats, determinism, and exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from kbitq import build_int_codebook, read_container, read_kbq
+from kbitq import (
+    DynamicSpec,
+    FloatSpec,
+    build_dynamic_codebook,
+    build_float_codebook,
+    build_int_codebook,
+    default_exponent_bits,
+    read_container,
+    read_kbq,
+    write_container,
+)
 from kbitq.cli import main
 
 
@@ -131,6 +142,24 @@ class TestCodebookCommand:
         assert payload["kind"] == "int" and payload["bits"] == 3
         assert payload["values"] == build_int_codebook(3).values.tolist()
 
+    @pytest.mark.parametrize(
+        "argv, book",
+        [
+            (("float", 4), build_float_codebook(FloatSpec(4, default_exponent_bits(4)))),
+            (("float", 6, "--exponent-bits", 2), build_float_codebook(FloatSpec(6, 2))),
+            (("dynamic", 5), build_dynamic_codebook(DynamicSpec(5))),
+            (("int", 4, "--exponent-bits", 2), build_int_codebook(4)),
+        ],
+        ids=["float-default", "float-e2", "dynamic", "int-ignores-exponent"],
+    )
+    def test_fixed_kinds_match_library(self, capsys, argv, book):
+        kind, bits, *rest = argv
+        code, out, _ = run_cli(capsys, "codebook", "--kind", kind, "--bits", bits, *rest)
+        assert code == 0
+        assert json.loads(out) == {
+            "kind": book.kind.value, "bits": book.bits, "values": book.values.tolist(),
+        }
+
     def test_quantile_requires_sample(self, capsys):
         code, _, err = run_cli(capsys, "codebook", "--kind", "quantile", "--bits", 4)
         assert code == 2 and err
@@ -177,9 +206,122 @@ class TestSweepCommand:
         mse = {row[0]: float(row[header.index("mse")]) for row in rows[1:]}
         assert mse["quantile"] < mse["int"]
 
+    @pytest.mark.parametrize("source", ["student-t", "integer-grid"])
+    def test_rows_equal_quantize_error_fields(self, capsys, tmp_path, source):
+        if source == "integer-grid":
+            # int3 codes are j/3, so a whole-tensor block of -3..3 decodes losslessly
+            grid = tmp_path / "grid.st"
+            write_container(grid, {"w": np.tile(np.arange(-3.0, 4.0), (6, 1)).astype(np.float32)})
+            paths, flags, name = [grid], [], "w"
+        else:
+            paths, flags = [], ["--synthetic", source, "--seed", 4, "--shape", "48x40"]
+            name = "synthetic_0"
+        code, out, _ = run_cli(
+            capsys, "sweep", *paths, *flags, "--dtype", "int,float,dynamic,quantile", "--bits", "3,8",
+            "--block-size", "16,whole", "--centered", "0,1",
+        )
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.strip().splitlines()]
+        assert len(rows) == 32
+        lossless_rows = 0
+        for row in rows:
+            cell = dict(zip(header, row))
+            argv = [
+                "quantize", *paths, tmp_path / "t.kbq", *flags, "--dtype", cell["kind"],
+                "--bits", cell["bits"], "--block-size", cell["block_size"],
+            ]
+            if cell["centered"] == "1":
+                argv.append("--centered")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            error = json.loads(out)["tensors"][name]["error"]
+            for key in ("mae", "mse", "max_abs_error"):
+                assert float(cell[key]) == error[key]
+            assert (float(cell["snr_db"]) if cell["snr_db"] else None) == error["snr_db"]
+            assert (cell["lossless"] == "1") is error["lossless"]
+            lossless_rows += error["lossless"]
+        assert (lossless_rows > 0) == (source == "integer-grid")
+
     def test_empty_grid_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--synthetic", "gaussian", "--bits", "")
         assert code == 2 and err
+
+
+def rewrite_manifest(path, edit):
+    """Apply edit to a KBQ manifest in place; padding keeps every section offset."""
+    blob = bytearray(path.read_bytes())
+    (length,) = struct.unpack("<I", blob[4:8])
+    encoded = json.dumps(edit(json.loads(blob[8 : 8 + length])), separators=(",", ":")).encode()
+    assert len(encoded) <= length
+    blob[8 : 8 + length] = encoded.ljust(length)
+    path.write_bytes(bytes(blob))
+
+
+def edit_section(path, name, section, edit):
+    """Replace one KBQ section's bytes with edit(old bytes), of the same length."""
+    blob = bytearray(path.read_bytes())
+    (length,) = struct.unpack("<I", blob[4:8])
+    offset, size = json.loads(blob[8 : 8 + length])["tensors"][name]["sections"][section]
+    blob[offset : offset + size] = edit(bytes(blob[offset : offset + size]))
+    path.write_bytes(bytes(blob))
+
+
+class TestMalformedFiles:
+    """Crafted files exit 3 with a message on stderr, never a traceback."""
+
+    @pytest.fixture
+    def mixed_kbq(self, capsys, tmp_path):
+        path = tmp_path / "m.kbq"
+        code, _, _ = run_cli(
+            capsys, "quantize", path, "--synthetic", "gaussian", "--shape", "64x64,64x64",
+            "--bits", 3, "--outlier-p", 0.05,
+        )
+        assert code == 0
+        return path
+
+    @staticmethod
+    def assert_format_error(capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith(f"kbitq {argv[0]}: ")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda m: [m["version"]], lambda m: {**m, "tensors": list(m["tensors"].values())}],
+        ids=["manifest-list", "tensors-list"],
+    )
+    def test_manifest_that_is_not_an_object(self, capsys, tmp_path, mixed_kbq, edit):
+        rewrite_manifest(mixed_kbq, edit)
+        self.assert_format_error(capsys, "dequantize", mixed_kbq, tmp_path / "o.st")
+
+    @pytest.mark.parametrize("shape", [[-2, -2], [2.0, 2]], ids=["negative", "float"])
+    def test_container_shape_that_is_not_sizes(self, capsys, tmp_path, shape):
+        header = json.dumps({"w": {"dtype": "F32", "shape": shape, "data_offsets": [0, 16]}})
+        bad = tmp_path / "bad.st"
+        bad.write_bytes(struct.pack("<Q", len(header)) + header.encode() + bytes(16))
+        self.assert_format_error(capsys, "quantize", bad, tmp_path / "o.kbq")
+
+    @pytest.mark.parametrize("dims", [[4, 9, 64], [4, 4, 9]], ids=["out-of-range", "duplicated"])
+    def test_bad_outlier_dims(self, capsys, tmp_path, mixed_kbq, dims):
+        new = np.asarray(dims, dtype="<i4").tobytes()
+        edit_section(mixed_kbq, "synthetic_1", "outlier_dims", lambda _: new)
+        self.assert_format_error(capsys, "dequantize", mixed_kbq, tmp_path / "o.st")
+
+    def test_malformed_quantile_codebook(self, capsys, tmp_path):
+        path = tmp_path / "q.kbq"
+        assert run_cli(capsys, "quantize", path, "--synthetic", "gaussian", "--shape", "32x32",
+                       "--dtype", "quantile")[0] == 0
+        edit_section(  # values made descending
+            path, "synthetic_0", "codebook", lambda raw: np.frombuffer(raw, "<f8")[::-1].tobytes()
+        )
+        self.assert_format_error(capsys, "dequantize", path, tmp_path / "o.st")
+
+    def test_shape_disagreeing_with_n_quantized(self, capsys, tmp_path, mixed_kbq):
+        def edit(manifest):
+            manifest["tensors"]["synthetic_0"]["shape"] = [64, 63]
+            return manifest
+
+        rewrite_manifest(mixed_kbq, edit)
+        self.assert_format_error(capsys, "inspect", mixed_kbq)
 
 
 class TestScalingFitCommand:

@@ -353,6 +353,13 @@ class TestQuantizeRoundTrip:
         with pytest.raises(InvalidSpecError):
             quantize_tensor(np.ones(4), build_int_codebook(5), config)
 
+    def test_other_quantile_codebook_rejected_on_decode(self):
+        config = QuantConfig(kind="quantile", bits=4, block_size=32)
+        x, y = rng(4).standard_normal(300), rng(5).standard_t(2, 300)
+        q = quantize_tensor(x, codebook_for(x, config), config)
+        with pytest.raises(InvalidSpecError):
+            dequantize_tensor(q, codebook_for(y, config))
+
     def test_corrupt_indices_detected(self):
         config = QuantConfig(kind="int", bits=2)
         book = build_int_codebook(2)  # 3 codes, so index 3 is invalid
