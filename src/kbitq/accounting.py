@@ -132,6 +132,7 @@ class ErrorSums:
         self.signal = self.abs_err = self.sq_err = self.max_abs_error = 0.0
 
     def add(self, original, dequantized) -> None:
+        """Add one tensor and its reconstruction."""
         a = np.asarray(original, dtype=np.float64)
         b = np.asarray(dequantized, dtype=np.float64)
         if a.shape != b.shape:
@@ -146,6 +147,7 @@ class ErrorSums:
         self.sq_err += float(np.sum(np.square(err, out=err)))
 
     def report(self, codebook_utilization: float) -> ErrorReport:
+        """Means, maximum and SNR over every element added so far."""
         signal = self.signal / self.n
         err_power = self.sq_err / self.n
         lossless = err_power == 0.0
