@@ -217,8 +217,8 @@ class TestSweepCommand:
             paths, flags = [], ["--synthetic", source, "--seed", 4, "--shape", "48x40"]
             name = "synthetic_0"
         code, out, _ = run_cli(
-            capsys, "sweep", *paths, *flags, "--dtype", "int,float,dynamic,quantile", "--bits", "3,8",
-            "--block-size", "16,whole", "--centered", "0,1",
+            capsys, "sweep", *paths, *flags, "--dtype", "int,float,dynamic,quantile",
+            "--bits", "3,8", "--block-size", "16,whole", "--centered", "0,1",
         )
         assert code == 0
         header, *rows = [line.split(",") for line in out.strip().splitlines()]
