@@ -29,19 +29,15 @@ from .errors import (
 _USAGE_ERRORS = (PrecisionRangeError, InvalidSpecError, InvalidFractionError)
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _parse_shapes(text: str) -> list[tuple[int, ...]]:
     shapes = []
     for part in text.split(","):
         try:
             dims = tuple(int(d) for d in part.lower().split("x"))
         except ValueError:
-            raise _UsageError(f"bad shape {part!r}; use forms like 1024x1024 or 4096")
+            raise InvalidSpecError(f"bad shape {part!r}; use forms like 1024x1024 or 4096")
         if not dims or any(d < 1 for d in dims):
-            raise _UsageError(f"bad shape {part!r}; dimensions must be positive")
+            raise InvalidSpecError(f"bad shape {part!r}; dimensions must be positive")
         shapes.append(dims)
     return shapes
 
@@ -52,16 +48,16 @@ def _parse_block_size(text: str):
     try:
         value = int(text)
     except ValueError:
-        raise _UsageError(f"bad block size {text!r}; use an integer or 'whole'")
+        raise InvalidSpecError(f"bad block size {text!r}; use an integer or 'whole'")
     if value < 1:
-        raise _UsageError("block size must be >= 1")
+        raise InvalidSpecError("block size must be >= 1")
     return value
 
 
 def _load_input(args) -> dict[str, np.ndarray]:
     """Tensors from a container file or the synthetic generator."""
     if args.input is not None and args.synthetic is not None:
-        raise _UsageError("give either an input container or --synthetic, not both")
+        raise InvalidSpecError("give either an input container or --synthetic, not both")
     if args.input is not None:
         container = store.read_container(args.input)
         return {name: arr.astype(np.float64) for name, arr in container.items()}
@@ -71,7 +67,7 @@ def _load_input(args) -> dict[str, np.ndarray]:
             f"synthetic_{i}": synth.make_tensor(args.synthetic, shape, args.seed + i)
             for i, shape in enumerate(shapes)
         }
-    raise _UsageError("no input: give a container path or --synthetic")
+    raise InvalidSpecError("no input: give a container path or --synthetic")
 
 
 def _detect_outliers(tensors: dict[str, np.ndarray], p: float) -> dict[str, np.ndarray]:
@@ -148,7 +144,7 @@ def cmd_quantize(args) -> int:
     elif len(args.paths) == 1 and args.synthetic is not None:
         args.input, output = None, args.paths[0]
     else:
-        raise _UsageError("expected INPUT OUTPUT, or OUTPUT with --synthetic")
+        raise InvalidSpecError("expected INPUT OUTPUT, or OUTPUT with --synthetic")
     tensors = _load_input(args)
     config = _config_from_args(args)
     quantized = _quantize_all(tensors, config)
@@ -213,7 +209,7 @@ def cmd_codebook(args) -> int:
     kind = CodebookKind(args.kind)
     if kind is CodebookKind.QUANTILE:
         if not args.sample:
-            raise _UsageError("--kind quantile requires --sample CONTAINER")
+            raise InvalidSpecError("--kind quantile requires --sample CONTAINER")
         container = store.read_container(args.sample)
         sample = np.concatenate([arr.ravel() for _, arr in container.items()])
         book = codebooks.build_quantile_codebook(codebooks.QuantileSpec(args.bits, sample))
@@ -236,7 +232,7 @@ def _csv_cell(value) -> str:
 def cmd_sweep(args) -> int:
     if args.paths:
         if len(args.paths) > 1:
-            raise _UsageError("sweep takes at most one input container")
+            raise InvalidSpecError("sweep takes at most one input container")
         args.input = args.paths[0]
     else:
         args.input = None
@@ -251,11 +247,13 @@ def cmd_sweep(args) -> int:
         )
         centered = sorted({bool(int(c)) for c in args.centered.split(",") if c})
         fractions = sorted({float(p) for p in args.outlier_p.split(",") if p})
+    except InvalidSpecError:  # a block size, already worded
+        raise
     except ValueError as exc:
-        raise _UsageError(f"bad grid value: {exc}")
+        raise InvalidSpecError(f"bad grid value: {exc}")
     grid = list(itertools.product(kinds, bits, blocks, centered, fractions))
     if not all((kinds, bits, blocks, centered, fractions)):
-        raise _UsageError("sweep grid is empty")
+        raise InvalidSpecError("sweep grid is empty")
 
     columns = (
         "kind,bits,exponent_bits,block_size,centered,outlier_p,bits_per_param,"
@@ -385,9 +383,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (_UsageError, KbitqError, OSError) as exc:
+    except (KbitqError, OSError) as exc:
         print(f"kbitq {args.command}: {exc}", file=sys.stderr)
-        if isinstance(exc, (_UsageError, *_USAGE_ERRORS)):
+        if isinstance(exc, _USAGE_ERRORS):
             return 2
         return 3 if isinstance(exc, DataFormatError) else 1
 

@@ -16,6 +16,7 @@ codes are packed eight to a uint64 word lane (see pack_indices).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,34 @@ class QuantizedTensor:
     def n_blocks(self) -> int:
         return block_count(self.n_quantized, self.config.block_size)
 
+    def validate(self) -> None:
+        """Raise CorruptDataError unless the decoder can honour this tensor.
+
+        Shape sizes are >= 0; outlier dims ascend strictly within
+        [0, shape[0]); quantized elements and outlier rows of width
+        prod(shape[1:]) split the shape; index bytes, block constants and
+        means fit those counts; a quantile tensor embeds a valid codebook.
+        """
+        shape, dims, cfg = self.shape, self.outlier_dims, self.config
+        n_rows = shape[0] if shape else 0
+        if any(s < 0 for s in shape):
+            raise CorruptDataError(f"negative size in shape {list(shape)}")
+        if dims.size and (dims[0] < 0 or dims[-1] >= n_rows or np.any(np.diff(dims) <= 0)):
+            raise CorruptDataError(f"outlier dims must ascend strictly within [0, {n_rows})")
+        n_out = dims.size * math.prod(shape[1:])
+        n_means = None if self.means is None else self.means.size
+        found = (self.n_quantized, self.outlier_rows.size, len(self.packed_indices),
+                 self.absmax.size, n_means)
+        needed = (math.prod(shape) - n_out, n_out, -(-self.n_quantized * cfg.bits // 8),
+                  self.n_blocks, self.n_blocks if cfg.centered else None)
+        if found != needed:
+            raise CorruptDataError(
+                f"(quantized elements, outlier values, index bytes, block constants, means) "
+                f"are {found}; shape {list(shape)} with {dims.size} outlier rows needs {needed}"
+            )
+        if cfg.kind is CodebookKind.QUANTILE:
+            reconstruct_codebook(self)
+
     def indices(self) -> np.ndarray:
         """Unpacked code indices, one per quantized element."""
         return unpack_indices(self.packed_indices, self.config.bits, self.n_quantized)
@@ -157,6 +186,13 @@ def to_float16(x) -> np.ndarray:
     if np.any(overflow):
         out = np.where(overflow, np.sign(y).astype(np.float16) * np.float16(FLOAT16_MAX), out)
     return out
+
+
+def _stored16(x, what: str) -> np.ndarray:
+    """to_float16 of values that must not saturate: |v| >= 65520 rounds past 65504."""
+    if np.any(np.abs(x) >= FLOAT16_MAX + 16):
+        raise InvalidValueError(f"{what} beyond the binary16 range (|v| >= 65520)")
+    return to_float16(x)
 
 
 def lookup_indices(codebook: Codebook, x) -> np.ndarray:
@@ -258,9 +294,8 @@ def _slabs(n: int, block_size: int):
         yield lo, hi, slice(lo // block_size, -(-hi // block_size))
 
 
-def _block_layout(n: int, block_size: int | None):
-    b = block_size or max(n, 1)
-    starts = np.arange(0, n, b)
+def _block_layout(n: int, block_size: int):
+    starts = np.arange(0, n, block_size)
     counts = np.diff(np.append(starts, n))
     return starts, counts
 
@@ -277,7 +312,7 @@ def _normalize(x: np.ndarray, block_size: int, centered: bool):
     if centered:
         means16 = to_float16(np.add.reduceat(x, starts) / counts)
         x = x - np.repeat(means16.astype(np.float64), counts)
-    absmax16 = to_float16(np.maximum.reduceat(np.abs(x), starts))
+    absmax16 = _stored16(np.maximum.reduceat(np.abs(x), starts), "block constant")
     live = absmax16 > 0
     scale = np.where(live, absmax16.astype(np.float64), 1.0)
     normalized = x / np.repeat(scale, counts)
@@ -312,11 +347,20 @@ def _check_input(t) -> np.ndarray:
     return arr
 
 
-def _check_codebook_config(codebook: Codebook, config: QuantConfig) -> None:
-    if codebook.kind is not config.kind or codebook.bits != config.bits:
+def _check_codebook_config(codebook: Codebook, config: QuantConfig, embedded=None) -> None:
+    """Reject a codebook other than the config's fixed one, or a quantile tensor's embedded one."""
+    if config.kind is CodebookKind.QUANTILE:
+        expected = embedded
+    else:
+        expected = _fixed_codebook(config.kind, config.bits, config.exponent_bits).values
+    if (
+        codebook.kind is not config.kind
+        or codebook.bits != config.bits
+        or (expected is not None and not np.array_equal(codebook.values, expected))
+    ):
         raise InvalidSpecError(
-            f"codebook ({codebook.kind.value}, {codebook.bits}b) does not match "
-            f"config ({config.kind.value}, {config.bits}b)"
+            f"codebook ({codebook.kind.value}, {codebook.bits}b) differs from the one "
+            f"config ({config.kind.value}, {config.bits}b) calls for"
         )
 
 
@@ -329,6 +373,7 @@ def quantize_tensor(t, codebook: Codebook, config: QuantConfig) -> QuantizedTens
 
 def _quantize(arr, dims, codebook: Codebook, config: QuantConfig) -> QuantizedTensor:
     """Quantize arr except its rows in dims (sorted, unique), kept at 16 bits."""
+    rows = _stored16(arr[dims], "outlier value").reshape(dims.size, -1 if dims.size else 0)
     rest = np.delete(arr, dims, axis=0).ravel() if dims.size else arr.ravel()
     indices, absmax16, means16 = _encode_blocks(rest, codebook, config)
     return QuantizedTensor(
@@ -339,11 +384,7 @@ def _quantize(arr, dims, codebook: Codebook, config: QuantConfig) -> QuantizedTe
         absmax=absmax16,
         means=means16,
         outlier_dims=dims,
-        outlier_rows=(
-            to_float16(arr[dims]).reshape(dims.size, -1)
-            if dims.size
-            else np.zeros((0, 0), dtype=np.float16)
-        ),
+        outlier_rows=rows,
         codebook_values=codebook.values.copy() if config.kind is CodebookKind.QUANTILE else None,
     )
 
@@ -356,9 +397,10 @@ def reconstruct_codebook(q: QuantizedTensor) -> Codebook:
     """
     cfg = q.config
     if cfg.kind is CodebookKind.QUANTILE:
-        if q.codebook_values is None:
-            raise CorruptDataError("quantile tensor is missing its embedded codebook")
-        return Codebook(CodebookKind.QUANTILE, cfg.bits, q.codebook_values)
+        try:
+            return Codebook(CodebookKind.QUANTILE, cfg.bits, q.codebook_values)
+        except InvalidSpecError as exc:  # also a missing (None) book
+            raise CorruptDataError(f"embedded quantile codebook is invalid: {exc}") from exc
     return _fixed_codebook(cfg.kind, cfg.bits, cfg.exponent_bits)
 
 
@@ -399,16 +441,14 @@ def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None) -> n
 
     Looks up each code, scales by the block constant, re-adds the block
     mean when present, and restores outlier rows from the sidecar. If no
-    codebook is passed it is reconstructed from the tensor itself; a
-    quantile codebook passed in must equal the one the tensor embeds.
+    codebook is passed it is reconstructed from the tensor itself; one
+    passed in must equal it (see _check_codebook_config).
     """
+    q.validate()
     if codebook is None:
         codebook = reconstruct_codebook(q)
     else:
-        _check_codebook_config(codebook, q.config)
-        quantile = q.config.kind is CodebookKind.QUANTILE
-        if quantile and not np.array_equal(codebook.values, q.codebook_values):
-            raise InvalidSpecError("codebook values differ from the tensor's embedded codebook")
+        _check_codebook_config(codebook, q.config, q.codebook_values)
 
     indices = q.indices()
     if indices.size and int(indices.max()) >= len(codebook):
@@ -416,9 +456,6 @@ def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None) -> n
             f"index {int(indices.max())} out of range for {len(codebook)}-code codebook"
         )
     b = q.block_size
-    for name, stored in (("block constants", q.absmax), ("block means", q.means)):
-        if stored is not None and stored.size != q.n_blocks:
-            raise CorruptDataError(f"expected {q.n_blocks} {name}, found {stored.size}")
     decoded = np.empty(q.n_quantized)
     for lo, hi, blocks in _slabs(q.n_quantized, b):
         counts = _block_layout(hi - lo, b)[1]

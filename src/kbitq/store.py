@@ -25,8 +25,7 @@ from .errors import (
     LengthError,
     ParseError,
 )
-from .accounting import section_bytes
-from .quantizer import QuantConfig, QuantizedTensor, reconstruct_codebook
+from .quantizer import QuantConfig, QuantizedTensor
 
 KBQ_MAGIC = b"KBQ1"
 KBQ_VERSION = 1
@@ -151,12 +150,13 @@ def _tensor_sections(q: QuantizedTensor) -> dict[str, bytes]:
 
 
 def write_kbq(tensors: dict[str, QuantizedTensor], path) -> None:
-    """Serialize quantized tensors; read_kbq inverts this bit-exactly."""
+    """Serialize quantized tensors, each validated first; read_kbq inverts this bit-exactly."""
     payload: list[bytes] = []
     relative: list[tuple[str, str, int, int]] = []
     entries: dict[str, dict] = {}
     rel = 0
     for name, q in tensors.items():
+        q.validate()
         for sec_name, raw in _tensor_sections(q).items():
             relative.append((name, sec_name, rel, len(raw)))
             payload.append(raw)
@@ -206,28 +206,6 @@ def write_kbq(tensors: dict[str, QuantizedTensor], path) -> None:
         fh.write(blob)
 
 
-def _read_section(blob: bytes, span, path, what: str) -> bytes:
-    offset, length = span
-    if offset < 0 or offset + length > len(blob):
-        raise CorruptDataError(f"{path}: section {what} [{offset}, {offset + length}) overruns file")
-    return blob[offset : offset + length]
-
-
-def _check_layout(q: QuantizedTensor, row_width: int, where: str) -> None:
-    """Reject a shape, outlier sidecar or element count the decoder cannot honour."""
-    dims = q.outlier_dims
-    n_rows = q.shape[0] if q.shape else 0
-    if any(s < 0 for s in q.shape):
-        raise CorruptDataError(f"{where} has a negative size in shape {list(q.shape)}")
-    if dims.size and (dims[0] < 0 or dims[-1] >= n_rows or np.any(np.diff(dims) <= 0)):
-        raise CorruptDataError(f"{where} outlier dims must ascend strictly within [0, {n_rows})")
-    expected = math.prod(q.shape) - dims.size * row_width
-    if q.n_quantized != expected:
-        raise CorruptDataError(
-            f"{where} has n_quantized {q.n_quantized}, its shape and outlier rows need {expected}"
-        )
-
-
 def read_kbq(path) -> dict[str, QuantizedTensor]:
     """Load a KBQ file back into quantized tensors."""
     with open(path, "rb") as fh:
@@ -251,7 +229,7 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
     out: dict[str, QuantizedTensor] = {}
     for name, entry in manifest.get("tensors", {}).items():
         try:
-            dtype = entry["dtype"]
+            dtype, sections = entry["dtype"], entry["sections"]
             config = QuantConfig(
                 kind=CodebookKind(dtype["kind"]),
                 bits=int(dtype["bits"]),
@@ -260,52 +238,36 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
                 outlier_fraction=float(entry["outlier_fraction"]),
                 exponent_bits=dtype["exponent_bits"],
             )
-            shape = tuple(int(s) for s in entry["shape"])
-            n_quantized = int(entry["n_quantized"])
-            sections = entry["sections"]
 
-            def sec(what: str) -> bytes:
+            def sec(what: str, code: str) -> np.ndarray:  # counts are for q.validate()
                 if what not in sections:
-                    raise CorruptDataError(f"{path}: tensor {name!r} is missing section {what!r}")
-                return _read_section(blob, sections[what], path, f"{name}/{what}")
-
-            quantile = config.kind is CodebookKind.QUANTILE
-            row_width = shape[1] if len(shape) > 1 else 1
-            n_dims = len(sec("outlier_dims")) // 4
-            n_codes = len(sec("codebook")) // 8 if quantile else 0
-            expected = section_bytes(config, n_quantized, n_dims, n_dims * row_width, n_codes)
-            raw = {what: sec(what) for what in expected if quantile or what != "codebook"}
-            for what, data in raw.items():
-                if len(data) != expected[what]:
+                    raise CorruptDataError(f"missing section {what!r}")
+                offset, length = sections[what]
+                size = np.dtype(code).itemsize
+                if min(offset, length) < 0 or offset + length > len(blob) or length % size:
                     raise CorruptDataError(
-                        f"{path}: tensor {name!r} section {what!r} holds {len(data)} bytes, "
-                        f"manifest arithmetic needs {expected[what]}"
+                        f"section {what!r} [{offset}, {offset + length}) is not whole "
+                        f"{code} values inside the file"
                     )
+                return np.frombuffer(blob[offset : offset + length], "<" + code).astype(code)
+
+            dims, rows = sec("outlier_dims", "i4"), sec("outlier_rows", "f2")
+            means = sec("means", "f2")  # kept if uncentered but not empty, so validate fails
+            quantile = config.kind is CodebookKind.QUANTILE
             q = QuantizedTensor(
-                shape=shape,
+                shape=tuple(int(s) for s in entry["shape"]),
                 config=config,
-                packed_indices=raw["indices"],
-                n_quantized=n_quantized,
-                absmax=np.frombuffer(raw["absmax"], dtype="<f2").astype(np.float16),
-                means=(
-                    np.frombuffer(raw["means"], dtype="<f2").astype(np.float16)
-                    if config.centered
-                    else None
-                ),
-                outlier_dims=np.frombuffer(raw["outlier_dims"], dtype="<i4").astype(np.int32),
-                outlier_rows=np.frombuffer(raw["outlier_rows"], dtype="<f2")
-                .astype(np.float16)
-                .reshape(n_dims, row_width if n_dims else 0),
-                codebook_values=(
-                    np.frombuffer(raw["codebook"], dtype="<f8").astype(np.float64)
-                    if quantile
-                    else None
-                ),
+                packed_indices=sec("indices", "u1").tobytes(),
+                n_quantized=int(entry["n_quantized"]),
+                absmax=sec("absmax", "f2"),
+                means=means if config.centered or means.size else None,
+                outlier_dims=dims,
+                outlier_rows=rows.reshape(dims.size, rows.size // max(dims.size, 1)),
+                codebook_values=sec("codebook", "f8") if quantile else None,
             )
-            if quantile:
-                reconstruct_codebook(q)  # raises InvalidSpecError, a ValueError, if malformed
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptDataError(f"{path}: tensor {name!r} manifest entry is invalid: {exc}") from exc
-        _check_layout(q, row_width, f"{path}: tensor {name!r}")
+            q.validate()
+        except (CorruptDataError, KeyError, TypeError, ValueError) as exc:
+            what = "" if isinstance(exc, CorruptDataError) else "invalid manifest entry: "
+            raise CorruptDataError(f"{path}: tensor {name!r}: {what}{exc}") from exc
         out[name] = q
     return out

@@ -58,6 +58,21 @@ class TestQuantizeCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("block", ["0", "x"])
+    def test_bad_block_size_is_usage_error(self, capsys, tmp_path, block):
+        code, out, err = run_cli(capsys, "quantize", tmp_path / "t.kbq", "--synthetic", "gaussian",
+                                 "--block-size", block)
+        assert code == 2 and out == "" and "--block-size" in err
+        assert not (tmp_path / "t.kbq").exists()
+
+    def test_binary16_overflow_is_runtime_error(self, capsys, tmp_path):
+        x = np.random.default_rng(3).standard_normal((64, 64)) * 1e6
+        write_container(tmp_path / "big.st", {"w": x.astype(np.float32)})
+        code, out, err = run_cli(capsys, "quantize", tmp_path / "big.st", tmp_path / "t.kbq",
+                                 "--bits", 8, "--block-size", 64)
+        assert code == 1 and out == "" and "binary16" in err
+        assert not (tmp_path / "t.kbq").exists()
+
     def test_missing_input_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "quantize", tmp_path / "t.kbq")
         assert code == 2 and err
@@ -322,6 +337,19 @@ class TestMalformedFiles:
 
         rewrite_manifest(mixed_kbq, edit)
         self.assert_format_error(capsys, "inspect", mixed_kbq)
+
+
+    @pytest.mark.parametrize("command", ["dequantize", "inspect"])
+    def test_three_d_relabel_with_outlier_rows(self, capsys, tmp_path, mixed_kbq, command):
+        def edit(manifest):  # rows of width 128, not 64; outlier_fraction 0 keeps the length
+            manifest["tensors"]["synthetic_1"].update(shape=[32, 64, 2], outlier_fraction=0)
+            return manifest
+
+        rewrite_manifest(mixed_kbq, edit)
+        new = np.arange(3, dtype="<i4").tobytes()
+        edit_section(mixed_kbq, "synthetic_1", "outlier_dims", lambda _: new)
+        argv = [mixed_kbq, tmp_path / "o.st"] if command == "dequantize" else [mixed_kbq]
+        self.assert_format_error(capsys, command, *argv)
 
 
 class TestScalingFitCommand:

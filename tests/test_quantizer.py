@@ -377,6 +377,23 @@ class TestQuantizeRoundTrip:
         with pytest.raises(CorruptDataError):
             dequantize_tensor(bad, book)
 
+    @pytest.mark.parametrize(
+        "config, foreign",
+        [
+            (QuantConfig(kind="float", bits=4, block_size=64), FloatSpec(4, 1)),
+            (QuantConfig(kind="dynamic", bits=4, block_size=64), DynamicSpec(4, 0.2, 0.8)),
+        ],
+        ids=["float4-e1", "dynamic4-0.2-0.8"],
+    )
+    def test_codebook_other_than_the_configs_rejected(self, config, foreign):
+        build = build_float_codebook if config.kind is CodebookKind.FLOAT else build_dynamic_codebook
+        x, book = rng(6).standard_normal((64, 64)), build(foreign)
+        with pytest.raises(InvalidSpecError):
+            quantize_tensor(x, book, config)
+        q = quantize_tensor(x, codebook_for(x, config), config)
+        with pytest.raises(InvalidSpecError):
+            dequantize_tensor(q, book)
+
     @pytest.mark.parametrize("n_means", [1, 3])
     def test_wrong_means_count_detected(self, n_means):
         config = QuantConfig(kind="int", bits=4, block_size=4, centered=True)
@@ -395,6 +412,21 @@ class TestFloat16Storage:
     def test_saturates_instead_of_overflowing(self):
         assert to_float16(1e6) == np.float16(65504.0)
         assert to_float16(-1e6) == np.float16(-65504.0)
+
+    def test_outlier_row_beyond_binary16_rejected(self):
+        config = QuantConfig(kind="int", bits=4, block_size=16)
+        w = rng(8).standard_normal((8, 8))
+        w[3] = 1e6  # excluded from every block constant, so only its own storage overflows
+        with pytest.raises(InvalidValueError):
+            quantize_mixed(w, [3], build_int_codebook(4), config)
+
+    def test_saturated_mean_is_absorbed_by_the_constant(self):
+        # the mean saturates to 65504 and the constant covers the rest
+        config = QuantConfig(kind="int", bits=8, block_size=4, centered=True)
+        x = np.array([70000.0, 70001.0, 69990.0, 70010.0])
+        q = quantize_tensor(x, build_int_codebook(8), config)
+        assert q.means[0] == np.float16(65504.0)
+        assert np.max(np.abs(dequantize_tensor(q) - x)) <= 17.5
 
     def test_normalized_overflow_clamps_to_extreme_code(self):
         # absmax can round down, pushing one normalized value past 1

@@ -116,7 +116,30 @@ def quantize_fixture(kind="int", bits=4, block=64, centered=False, outliers=0, s
     return x, quantize_tensor(x, book, config)
 
 
+def relabelled_three_d():
+    """A 64x64 tensor with 3 outlier rows relabelled as [32, 64, 2], outlier dims [0, 1, 2]."""
+    config = QuantConfig(kind="int", bits=3, block_size=64)
+    x = rng(9).standard_normal((64, 64))
+    q = quantize_mixed(x, [5, 9, 40], codebook_for(x, config), config)
+    q.shape, q.outlier_dims = (32, 64, 2), np.arange(3, dtype=np.int32)
+    return q
+
+
+def means_mutated():
+    config = QuantConfig(kind="int", bits=4, block_size=4, centered=True)
+    q = quantize_tensor(np.arange(8.0), codebook_for(np.arange(8.0), config), config)
+    q.means = np.zeros(1, dtype=np.float16)  # two blocks need two means
+    return q
+
+
 class TestKbq:
+    @pytest.mark.parametrize("make", [means_mutated, relabelled_three_d])
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, make):
+        path = tmp_path / "bad.kbq"
+        with pytest.raises(CorruptDataError):
+            write_kbq({"w": make()}, path)
+        assert not path.exists()
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.kbq"
         write_kbq({}, path)
