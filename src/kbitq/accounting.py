@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyInputError, UndefinedCorrelationError
 from .quantizer import QuantConfig, QuantizedTensor, block_count, reconstruct_codebook
+from .quantizer import _decoded_slabs
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,25 @@ class ErrorSums:
         self.abs_err += float(np.sum(err))
         self.max_abs_error = max(self.max_abs_error, float(np.max(err)))
         self.sq_err += float(np.sum(np.square(err, out=err)))
+
+    def add_quantized(self, original, q: QuantizedTensor) -> tuple[int, int]:
+        """Add a tensor and its quantization q, decoding q slab by slab; returns code_use(q).
+
+        Outlier rows come last, so the sums can differ from error_metrics' in the last digit.
+        """
+        a = np.asarray(original, dtype=np.float64)
+        slabs = _decoded_slabs(q)
+        if a.shape != q.shape:
+            raise DimensionError(f"shape mismatch: {a.shape} vs {q.shape}")
+        dims = q.outlier_dims
+        kept = np.delete(a, dims, axis=0).ravel() if dims.size else a.ravel()
+        counts = np.zeros(1 << q.config.bits, dtype=np.int64)
+        for lo, hi, codes, values in slabs:
+            self.add(kept[lo:hi], values)
+            counts += np.bincount(codes, minlength=counts.size)
+        if dims.size:
+            self.add(a[dims].ravel(), q.outlier_rows.ravel())
+        return int(np.count_nonzero(counts)), len(reconstruct_codebook(q))
 
     def report(self, codebook_utilization: float) -> ErrorReport:
         """Means, maximum and SNR over every element added so far."""

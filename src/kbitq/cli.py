@@ -127,14 +127,14 @@ def _emit(payload: dict) -> None:
 
 
 def _tensor_summary(arr, q):
-    decoded = quantizer.dequantize_tensor(q)
-    report = accounting.error_metrics(arr, decoded, q)
+    sums = accounting.ErrorSums()
+    used, n_codes = sums.add_quantized(arr, q)
     breakdown = accounting.bits_per_param(q.config, element_count=q.element_count)
     return {
         "shape": list(q.shape),
         "outlier_dims": int(q.outlier_dims.size),
         "bits_per_param": breakdown.as_dict(),
-        "error": report.as_dict(),
+        "error": sums.report(used / n_codes).as_dict(),
     }
 
 
@@ -191,9 +191,7 @@ def cmd_inspect(args) -> int:
             "error": None,
         }
         if against is not None and name in against:
-            original = against.tensor(name).astype(np.float64)
-            decoded = quantizer.dequantize_tensor(q)
-            entry["error"] = accounting.error_metrics(original, decoded, q).as_dict()
+            entry["error"] = _tensor_summary(against.tensor(name), q)["error"]
         tensors[name] = entry
     _emit(
         {
@@ -269,8 +267,7 @@ def cmd_sweep(args) -> int:
         sums = accounting.ErrorSums()
         weighted_util = 0.0
         for name, q in quantized.items():
-            sums.add(tensors[name], quantizer.dequantize_tensor(q))
-            used, n_codes = accounting.code_use(q)
+            used, n_codes = sums.add_quantized(tensors[name], q)
             weighted_util += q.element_count * used / n_codes
         report = sums.report(weighted_util / total_elements)
         e_bits = (

@@ -135,6 +135,28 @@ class Codebook:
         t.flags.writeable = False
         return t
 
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Bucket table of nearest-code lookup: (start, padded, probes).
+
+        The cell count n of cell_index doubles up to 2^16 until no cell holds two
+        thresholds; start[c] (uint8) counts thresholds in cells before c; padded is
+        the thresholds then +inf; probes = ceil(log2(m + 1)), m the most in a cell.
+        """
+        t = self.thresholds
+        for n in (1 << e for e in range(1, 17)):
+            start = np.searchsorted(cell_index(t, n), np.arange(n + 1))
+            crowd = int(np.max(np.diff(start, append=t.size)))
+            if crowd <= 1:
+                break
+        probes = crowd.bit_length()
+        return start.astype(np.uint8), np.append(t, np.full((1 << probes) - 1, np.inf)), probes
+
+
+def cell_index(x: np.ndarray, n: int) -> np.ndarray:
+    """Cell of x among n equal cells of [-1, 1] (x >= 1: cell n); monotone, clipped first."""
+    return ((np.clip(x, -1.0, 1.0) + 1.0) * (n / 2)).astype(np.intp)
+
 
 def _ordered_key(bits: np.ndarray) -> np.ndarray:
     """Map float64 bit patterns to int64 keys in the same order, and back.

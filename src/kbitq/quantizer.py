@@ -9,8 +9,8 @@ whose absolute maximum rounds to zero store the zero code everywhere,
 which reconstructs them exactly.
 
 All operations are pure and block-independent: encoding and decoding walk
-slabs of whole blocks, and no output depends on the slab size. Lookup is
-one binary search over exact decision thresholds cached per codebook, and
+slabs of whole blocks, and no output depends on the slab size. Lookup counts
+exact decision thresholds through a bucket table cached per codebook, and
 codes are packed eight to a uint64 word lane (see pack_indices).
 """
 
@@ -31,6 +31,7 @@ from .codebooks import (
     build_float_codebook,
     build_int_codebook,
     build_quantile_codebook,
+    cell_index,
     default_exponent_bits,
     _check_bits,
 )
@@ -124,7 +125,7 @@ class QuantizedTensor:
         Shape sizes are >= 0; outlier dims ascend strictly within
         [0, shape[0]); quantized elements and outlier rows of width
         prod(shape[1:]) split the shape; index bytes, block constants and
-        means fit those counts; a quantile tensor embeds a valid codebook.
+        means fit those counts; only a quantile tensor embeds a codebook.
         """
         shape, dims, cfg = self.shape, self.outlier_dims, self.config
         n_rows = shape[0] if shape else 0
@@ -145,6 +146,8 @@ class QuantizedTensor:
             )
         if cfg.kind is CodebookKind.QUANTILE:
             reconstruct_codebook(self)
+        elif self.codebook_values is not None:
+            raise CorruptDataError(f"a {cfg.kind.value} tensor embeds no codebook values")
 
     def indices(self) -> np.ndarray:
         """Unpacked code indices, one per quantized element."""
@@ -199,14 +202,19 @@ def lookup_indices(codebook: Codebook, x) -> np.ndarray:
     """Nearest-code index for each element, ties toward the smaller index.
 
     The index is the number of Codebook.thresholds strictly below the
-    element, found by one binary search. The thresholds are exact, so this
-    equals the two-sided rule (x - v[j]) <= (v[j+1] - x) bit for bit, ties
-    included; out-of-range inputs clamp to an extreme code.
+    element, as searchsorted(thresholds, x, "left") counts it: Codebook.cells gives
+    the count before x's cell (cells are monotone in x), and branchless bisection adds
+    those inside it. The thresholds are exact, so this equals the two-sided rule
+    (x - v[j]) <= (v[j+1] - x) bit for bit, ties included; out-of-range x clamps.
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise InvalidValueError("cannot look up non-finite values")
-    return np.searchsorted(codebook.thresholds, arr, side="left")
+    start, padded, probes = codebook.cells
+    pos = start.take(cell_index(arr, start.size - 1)).astype(np.intp)
+    for i in reversed(range(probes)):
+        pos += (padded[(1 << i) - 1 :].take(pos) < arr).view(np.uint8) << i
+    return pos
 
 
 def lookup_index(codebook: Codebook, x: float) -> int:
@@ -436,6 +444,30 @@ def codebook_for(t, config: QuantConfig) -> Codebook:
     return build_quantile_codebook(QuantileSpec(config.bits, sample))
 
 
+def _decoded_slabs(q: QuantizedTensor, codebook: Codebook | None = None):
+    """Check q as dequantize_tensor does; yield (lo, hi, codes, values) of each decoded slab."""
+    q.validate()
+    if codebook is None:
+        codebook = reconstruct_codebook(q)
+    else:
+        _check_codebook_config(codebook, q.config, q.codebook_values)
+    indices = q.indices()
+    if indices.size and int(indices.max()) >= len(codebook):
+        raise CorruptDataError(
+            f"index {int(indices.max())} out of range for {len(codebook)}-code codebook"
+        )
+
+    def decode():
+        for lo, hi, blocks in _slabs(q.n_quantized, q.block_size):
+            counts = _block_layout(hi - lo, q.block_size)[1]
+            values = codebook.values[indices[lo:hi]]
+            values *= np.repeat(q.absmax[blocks].astype(np.float64), counts)
+            if q.means is not None:
+                values += np.repeat(q.means[blocks].astype(np.float64), counts)
+            yield lo, hi, indices[lo:hi], values
+    return decode()
+
+
 def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None) -> np.ndarray:
     """Decode a quantized tensor back to real values.
 
@@ -444,26 +476,10 @@ def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None) -> n
     codebook is passed it is reconstructed from the tensor itself; one
     passed in must equal it (see _check_codebook_config).
     """
-    q.validate()
-    if codebook is None:
-        codebook = reconstruct_codebook(q)
-    else:
-        _check_codebook_config(codebook, q.config, q.codebook_values)
-
-    indices = q.indices()
-    if indices.size and int(indices.max()) >= len(codebook):
-        raise CorruptDataError(
-            f"index {int(indices.max())} out of range for {len(codebook)}-code codebook"
-        )
-    b = q.block_size
+    slabs = _decoded_slabs(q, codebook)  # checks q before n_quantized sizes anything
     decoded = np.empty(q.n_quantized)
-    for lo, hi, blocks in _slabs(q.n_quantized, b):
-        counts = _block_layout(hi - lo, b)[1]
-        slab = decoded[lo:hi]
-        scale = np.repeat(q.absmax[blocks].astype(np.float64), counts)
-        np.multiply(codebook.values[indices[lo:hi]], scale, out=slab)
-        if q.means is not None:
-            slab += np.repeat(q.means[blocks].astype(np.float64), counts)
+    for lo, hi, _, values in slabs:
+        decoded[lo:hi] = values
 
     if q.outlier_dims.size == 0:
         return decoded.reshape(q.shape)

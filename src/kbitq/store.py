@@ -12,8 +12,10 @@ codebook values). All multi-byte integers are little-endian.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -111,25 +113,35 @@ def read_container(path) -> TensorContainer:
 def write_container(path, tensors: dict[str, np.ndarray]) -> None:
     """Write arrays as a container; float16 stays F16, everything else F32."""
     header: dict[str, dict] = {}
-    chunks: list[bytes] = []
+    chunks: list[memoryview] = []
     offset = 0
     for name, arr in tensors.items():
         arr = np.asarray(arr)
         dtype = "F16" if arr.dtype == np.float16 else "F32"
-        raw = np.ascontiguousarray(arr.astype(_DTYPES[dtype])).tobytes()
+        raw = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
         header[name] = {
             "dtype": dtype,
             "shape": list(arr.shape),
-            "data_offsets": [offset, offset + len(raw)],
+            "data_offsets": [offset, offset + raw.nbytes],
         }
-        chunks.append(raw)
-        offset += len(raw)
+        chunks.append(memoryview(raw))
+        offset += raw.nbytes
     encoded = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(encoded)))
-        fh.write(encoded)
-        for chunk in chunks:
-            fh.write(chunk)
+    _write_atomically(path, [struct.pack("<Q", len(encoded)), encoded, *chunks])
+
+
+def _write_atomically(path, chunks) -> None:
+    """Write chunks to a new sibling file ("xb" keeps the umask mode), then rename it to path."""
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _pad(n: int) -> int:
@@ -195,15 +207,8 @@ def write_kbq(tensors: dict[str, QuantizedTensor], path) -> None:
             break
         base = new_base
 
-    blob = bytearray()
-    blob += KBQ_MAGIC
-    blob += struct.pack("<I", len(encoded))
-    blob += encoded
-    blob += b"\0" * _pad(len(blob))
-    for chunk in payload:
-        blob += chunk
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    head = KBQ_MAGIC + struct.pack("<I", len(encoded)) + encoded
+    _write_atomically(path, [head, b"\0" * _pad(len(head)), *payload])
 
 
 def read_kbq(path) -> dict[str, QuantizedTensor]:

@@ -13,10 +13,13 @@ from kbitq import (
     build_float_codebook,
     build_int_codebook,
     default_exponent_bits,
+    dequantize_tensor,
+    error_metrics,
     read_container,
     read_kbq,
     write_container,
 )
+from kbitq import quantizer
 from kbitq.cli import main
 
 
@@ -147,6 +150,62 @@ class TestInspectCommand:
         assert entry["bits_per_param"]["total"] == 4.25
         assert entry["error"]["mse"] > 0
         assert payload["total_model_bits"] == 64 * 32 * 4 + 16 * 32
+
+
+def summary_container(path):
+    """A chain of two matrices (the second gets outlier rows), a 1-D tensor, a lossless grid."""
+    gen = np.random.Generator(np.random.Philox(key=77))
+    up = gen.standard_normal((24, 40))
+    down = gen.standard_normal((40, 24)) + 3.0
+    down[[5, 17]] *= 25.0
+    grid = np.tile(np.arange(-3.0, 4.0), (6, 1))
+    tensors = {"up": up, "down": down, "bias": gen.standard_t(2, 50), "grid": grid}
+    write_container(path, {name: a.astype(np.float32) for name, a in tensors.items()})
+
+
+class TestErrorSummary:
+    """The quantize and inspect error fields, summed slab by slab, against error_metrics."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--dtype", "int", "--bits", 4, "--block-size", 16],
+            ["--dtype", "int", "--bits", 3, "--block-size", "whole"],
+            ["--dtype", "float", "--bits", 3, "--block-size", 8, "--centered"],
+            ["--dtype", "dynamic", "--bits", 5, "--block-size", "whole", "--outlier-p", 0.1],
+            ["--dtype", "quantile", "--bits", 4, "--block-size", 16, "--outlier-p", 0.1],
+            ["--dtype", "quantile", "--bits", 8, "--block-size", "whole", "--centered"],
+            ["--dtype", "int", "--bits", 8, "--block-size", 7, "--centered", "--outlier-p", 0.1],
+        ],
+    )
+    def test_quantize_and_inspect_match_error_metrics(self, capsys, tmp_path, monkeypatch, flags):
+        monkeypatch.setattr(quantizer, "_SLAB_ELEMENTS", 48)
+        st, kbq = tmp_path / "in.st", tmp_path / "t.kbq"
+        summary_container(st)
+        code, out, _ = run_cli(capsys, "quantize", st, kbq, *flags)
+        assert code == 0
+        reported = {name: t["error"] for name, t in json.loads(out)["tensors"].items()}
+        code, out, _ = run_cli(capsys, "inspect", kbq, "--against", st)
+        assert code == 0
+        assert {name: t["error"] for name, t in json.loads(out)["tensors"].items()} == reported
+
+        originals, quantized = read_container(st), read_kbq(kbq)
+        outlier_rows = 0
+        for name, q in quantized.items():
+            x = originals.tensor(name).astype(np.float64)
+            expected = error_metrics(x, dequantize_tensor(q), q).as_dict()
+            got = reported[name]
+            for key in ("max_abs_error", "lossless", "codebook_utilization"):
+                assert got[key] == expected[key], (name, key)
+            for key in ("mae", "mse", "snr_db"):
+                if expected[key] is None:
+                    assert got[key] is None
+                else:
+                    assert got[key] == pytest.approx(expected[key], rel=1e-12, abs=0), (name, key)
+            outlier_rows += q.outlier_dims.size
+        assert (outlier_rows > 0) == ("--outlier-p" in flags)
+        if flags[1:4] == ["int", "--bits", 3]:  # int3 decodes the -3..3 grid of a whole block exactly
+            assert reported["grid"]["lossless"] and reported["grid"]["snr_db"] is None
 
 
 class TestCodebookCommand:

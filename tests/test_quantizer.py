@@ -22,7 +22,7 @@ from kbitq import (
     unpack_indices,
 )
 from kbitq import quantizer
-from kbitq.codebooks import FloatSpec, build_uint_codebook
+from kbitq.codebooks import Codebook, FloatSpec, build_uint_codebook
 from kbitq.errors import (
     CorruptDataError,
     EmptyInputError,
@@ -147,6 +147,67 @@ class TestExactThresholds:
     def test_thresholds_cached_per_codebook(self):
         book = build_int_codebook(5)
         assert book.thresholds is book.thresholds
+
+
+def crowded_codebook():
+    """A quantile-kind 8-bit book with 253 thresholds inside one of 2^16 cells."""
+    values = np.concatenate([[-1.0, 0.0], 1e-9 * np.arange(1, 254), [1.0]])
+    return Codebook(CodebookKind.QUANTILE, 8, values)
+
+
+ORACLE_CODEBOOKS = {
+    **BUILTIN_CODEBOOKS,
+    "quantile8-cauchy": build_quantile_codebook(QuantileSpec(8, rng(31).standard_cauchy(5000))),
+    "quantile4-skewed": build_quantile_codebook(QuantileSpec(4, rng(32).exponential(size=999))),
+    "crowded": crowded_codebook(),
+}
+
+
+def bucket_probes(book):
+    """Thresholds, cell edges and the extremes, each with its one-ulp neighbours."""
+    n = book.cells[0].size - 1
+    edges = -1.0 + 2.0 * np.arange(n + 1) / n
+    tiny = np.array([5e-324, 1e-310, 2.2250738585072014e-308])
+    extremes = np.array([0.0, 1.0, 1e300, 1.7e308])
+    return np.concatenate(
+        [
+            ulp_neighbourhood(book.thresholds),
+            ulp_neighbourhood(edges),
+            ulp_neighbourhood(extremes),
+            -ulp_neighbourhood(extremes),
+            tiny,
+            -tiny,
+        ]
+    )
+
+
+class TestBucketLookup:
+    """The bucketed lookup must equal searchsorted over the thresholds everywhere."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(ORACLE_CODEBOOKS))
+    def test_matches_searchsorted(self, name):
+        book = ORACLE_CODEBOOKS[name]
+        xs = np.concatenate([bucket_probes(book), rng(33).uniform(-1.1, 1.1, 5000)])
+        expected = np.searchsorted(book.thresholds, xs, side="left")
+        assert np.array_equal(lookup_indices(book, xs), expected)
+        assert lookup_indices(book, xs[:12].reshape(3, 4)).shape == (3, 4)
+
+    def test_table_shape(self):
+        for book in ORACLE_CODEBOOKS.values():
+            start, padded, probes = book.cells
+            n = start.size - 1
+            per_cell = np.bincount(
+                np.searchsorted(start, np.arange(book.thresholds.size), side="right") - 1
+            )
+            assert start.dtype == np.uint8 and n & (n - 1) == 0 and n <= 1 << 16
+            assert per_cell.max() <= 1 or n == 1 << 16
+            assert probes == int(per_cell.max()).bit_length()
+            assert np.array_equal(padded[: book.thresholds.size], book.thresholds)
+            assert np.all(padded[book.thresholds.size :] == np.inf)
+            assert padded.size == book.thresholds.size + (1 << probes) - 1
+        crowded = ORACLE_CODEBOOKS["crowded"]
+        assert crowded.cells[2] == 8 and crowded.cells is crowded.cells
 
 
 def reference_pack(indices, k):

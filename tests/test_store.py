@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -21,6 +23,7 @@ from kbitq import (
     write_kbq,
 )
 from kbitq.errors import CorruptDataError, FormatError, LengthError, ParseError
+from kbitq import store
 from kbitq.store import KBQ_MAGIC
 
 
@@ -140,6 +143,17 @@ class TestKbq:
             write_kbq({"w": make()}, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind", ["int", "float", "dynamic"])
+    def test_stray_codebook_values_rejected(self, tmp_path, kind):
+        _, q = quantize_fixture(kind=kind, bits=4)
+        q.codebook_values = np.linspace(-1.0, 1.0, 16)
+        path = tmp_path / "stray.kbq"
+        with pytest.raises(CorruptDataError):
+            write_kbq({"w": q}, path)
+        assert not path.exists()
+        with pytest.raises(CorruptDataError):
+            dequantize_tensor(q)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.kbq"
         write_kbq({}, path)
@@ -222,3 +236,51 @@ class TestKbq:
                 section_bits += 8 * length
         assert section_bits == total_model_bits(tensors.values())
         assert sum(sum(payload_sections(q).values()) for q in tensors.values()) * 8 == section_bits
+
+
+def write_kbq_file(path):
+    write_kbq({"w": quantize_fixture()[1]}, path)
+
+
+def write_container_file(path):
+    write_container(path, {"w": rng(5).standard_normal((8, 4)).astype(np.float32)})
+
+
+class TestAtomicWrites:
+    """Outputs appear whole or not at all, through a sibling file renamed into place."""
+
+    def test_failure_mid_write_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield b"partial"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            store._write_atomically(tmp_path / "out.kbq", chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("write", [write_kbq_file, write_container_file])
+    def test_failed_rename_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(store.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert path.read_bytes() == b"old"
+
+    @pytest.mark.parametrize("write", [write_kbq_file, write_container_file])
+    def test_replaces_output_with_umask_mode(self, tmp_path, write):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        old_umask = os.umask(0o027)
+        try:
+            write(path)
+        finally:
+            os.umask(old_umask)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert path.read_bytes() != b"old"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
