@@ -41,12 +41,13 @@ class ErrorReport:
     """Element-wise reconstruction error plus codebook usage.
 
     snr_db is None when the reconstruction is lossless; the lossless flag
-    makes that explicit instead of reporting an infinite ratio.
+    makes that explicit instead of reporting an infinite ratio. Over zero
+    elements every error field is None, and the (vacuous) lossless flag True.
     """
 
-    mae: float
-    mse: float
-    max_abs_error: float
+    mae: float | None
+    mse: float | None
+    max_abs_error: float | None
     snr_db: float | None
     lossless: bool
     codebook_utilization: float
@@ -144,7 +145,7 @@ class ErrorSums:
         err = a - b
         np.abs(err, out=err)
         self.abs_err += float(np.sum(err))
-        self.max_abs_error = max(self.max_abs_error, float(np.max(err)))
+        self.max_abs_error = max(self.max_abs_error, float(np.max(err, initial=0.0)))
         self.sq_err += float(np.sum(np.square(err, out=err)))
 
     def add_quantized(self, original, q: QuantizedTensor) -> tuple[int, int]:
@@ -168,6 +169,8 @@ class ErrorSums:
 
     def report(self, codebook_utilization: float) -> ErrorReport:
         """Means, maximum and SNR over every element added so far."""
+        if self.n == 0:
+            return ErrorReport(None, None, None, None, True, codebook_utilization)
         signal = self.signal / self.n
         err_power = self.sq_err / self.n
         lossless = err_power == 0.0

@@ -101,12 +101,12 @@ def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig)
     outlier_dims = _detect_outliers(tensors, config.outlier_fraction)
     result: dict[str, quantizer.QuantizedTensor] = {}
     for name, arr in tensors.items():
-        codebook = quantizer.codebook_for(arr, config)
         dims = outlier_dims[name]
         if dims.size and arr.ndim == 2:
+            codebook = quantizer.codebook_for(arr, config)
             result[name] = outliers.quantize_mixed(arr, dims, codebook, config)
         else:
-            result[name] = quantizer.quantize_tensor(arr, codebook, config)
+            result[name] = quantizer.quantize_tensor(arr, None, config)
     return result
 
 
@@ -249,9 +249,16 @@ def cmd_sweep(args) -> int:
         raise
     except ValueError as exc:
         raise InvalidSpecError(f"bad grid value: {exc}")
-    grid = list(itertools.product(kinds, bits, blocks, centered, fractions))
     if not all((kinds, bits, blocks, centered, fractions)):
         raise InvalidSpecError("sweep grid is empty")
+    grid = [quantizer.QuantConfig(*cell)  # kind, bits, block size, centered, outlier fraction
+            for cell in itertools.product(kinds, bits, blocks, centered, fractions)]
+    # configs sharing (block size, centering, outlier fraction) share their outlier rows,
+    # normalization and quantile sample; rows still come out in grid order
+    groups: dict[tuple, list] = {}
+    for config in grid:
+        key = (config.block_size, config.centered, config.outlier_fraction)
+        groups.setdefault(key, []).append(config)
 
     columns = (
         "kind,bits,exponent_bits,block_size,centered,outlier_p,bits_per_param,"
@@ -259,40 +266,23 @@ def cmd_sweep(args) -> int:
     )
     rows = [columns]
     total_elements = sum(arr.size for arr in tensors.values())
-    for kind, k, block, center, p in grid:
-        config = quantizer.QuantConfig(
-            kind=CodebookKind(kind), bits=k, block_size=block, centered=center, outlier_fraction=p
-        )
-        quantized = _quantize_all(tensors, config)
-        sums = accounting.ErrorSums()
-        weighted_util = 0.0
-        for name, q in quantized.items():
-            used, n_codes = sums.add_quantized(tensors[name], q)
-            weighted_util += q.element_count * used / n_codes
-        report = sums.report(weighted_util / total_elements)
-        e_bits = (
-            codebooks.default_exponent_bits(k) if CodebookKind(kind) is CodebookKind.FLOAT else None
-        )
-        rows.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    kind,
-                    k,
-                    e_bits,
-                    "whole" if block is None else block,
-                    center,
-                    p,
-                    accounting.total_model_bits(quantized.values()) / total_elements,
-                    report.mae,
-                    report.mse,
-                    report.max_abs_error,
-                    report.snr_db,
-                    report.lossless,
-                    report.codebook_utilization,
-                )
-            )
-        )
+    sums = {config: accounting.ErrorSums() for config in grid}
+    util, model_bits = dict.fromkeys(grid, 0.0), dict.fromkeys(grid, 0)
+    for (_, _, p), group in groups.items():
+        outlier_dims = _detect_outliers(tensors, p)
+        for name, arr in tensors.items():
+            for config, q in zip(group, quantizer.quantize_group(arr, outlier_dims[name], group)):
+                used, n_codes = sums[config].add_quantized(arr, q)
+                util[config] += q.element_count * used / n_codes
+                model_bits[config] += accounting.total_model_bits([q])
+    for config in grid:
+        kind, k, block = config.kind, config.bits, config.block_size
+        e_bits = codebooks.default_exponent_bits(k) if kind is CodebookKind.FLOAT else None
+        r = sums[config].report(util[config] / total_elements)
+        cells = (kind.value, k, e_bits, "whole" if block is None else block, config.centered,
+                 config.outlier_fraction, model_bits[config] / total_elements,
+                 r.mae, r.mse, r.max_abs_error, r.snr_db, r.lossless, r.codebook_utilization)
+        rows.append(",".join(_csv_cell(v) for v in cells))
     sys.stdout.write("\n".join(rows) + "\n")
     return 0
 

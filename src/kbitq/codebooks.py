@@ -294,6 +294,23 @@ def build_dynamic_codebook(spec: DynamicSpec) -> Codebook:
     return Codebook(CodebookKind.DYNAMIC, k, np.array([float(v) for v in values]))
 
 
+def _sorted_quantiles(ordered: np.ndarray, probs, scale=1.0):
+    """np.quantile(ordered / scale, probs) of an ascending sample, by numpy's linear rule.
+
+    Virtual index (n - 1) p; the order statistics either side of it (the last twice, at
+    weight index + 1, from n - 1 on); _lerp's b - (b - a)(1 - t) for t >= 0.5. Dividing
+    the picked values by a scale > 0 equals picking from the divided sample (monotone).
+    """
+    virtual = (ordered.size - 1) * np.asarray(probs, dtype=np.float64)
+    lo = np.floor(virtual)
+    lo[virtual >= ordered.size - 1] = -1
+    hi = np.where(lo == -1, -1, lo + 1).astype(np.intp)
+    t = virtual - lo
+    a, b = ordered[lo.astype(np.intp)] / scale, ordered[hi] / scale
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def estimate_quantiles(data, p):
     """Empirical inverse CDF via sorted order statistics.
 
@@ -309,7 +326,7 @@ def estimate_quantiles(data, p):
     probs = np.asarray(p, dtype=np.float64)
     if np.any((probs < 0) | (probs > 1)):
         raise OutOfRangeError("quantile probabilities must lie in [0, 1]")
-    result = np.quantile(arr, probs)
+    result = _sorted_quantiles(np.sort(arr), probs.reshape(-1)).reshape(probs.shape)
     return float(result) if np.isscalar(p) or probs.ndim == 0 else result
 
 
@@ -329,14 +346,14 @@ def build_quantile_codebook(spec: QuantileSpec) -> Codebook:
         raise EmptyInputError("quantile codebook needs a non-empty sample")
     if not np.all(np.isfinite(sample)):
         raise InvalidValueError("quantile sample contains non-finite values")
-    peak = np.max(np.abs(sample))
+    if np.any(sample[1:] < sample[:-1]):  # one sort can serve every width
+        sample = np.sort(sample)
+    peak = max(-sample[0], sample[-1])
     if peak == 0:
         raise InvalidValueError("quantile sample is identically zero")
-    sample = sample / peak
-
     n_codes = 2**k
     probs = np.arange(n_codes + 1, dtype=np.float64) / (n_codes + 1)
-    quantiles = np.quantile(sample, probs)
+    quantiles = _sorted_quantiles(sample, probs, peak)
     mids = (quantiles[:-1] + quantiles[1:]) / 2.0
     values = np.unique(np.concatenate([mids, [0.0]]))
     if values.size > n_codes:

@@ -25,9 +25,8 @@ from .errors import (
 from .quantizer import (
     QuantConfig,
     QuantizedTensor,
-    _check_input,
     _check_codebook_config,
-    _quantize,
+    quantize_group,
 )
 
 
@@ -105,7 +104,7 @@ def quantize_mixed(W, J, codebook: Codebook, config: QuantConfig) -> QuantizedTe
     large row cannot inflate any block constant. With J empty this reduces
     to plain quantization.
     """
-    arr = _check_input(W)
+    arr = np.asarray(W, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"mixed-precision quantization needs a 2-D matrix, got {arr.shape}")
     _check_codebook_config(codebook, config)
@@ -118,4 +117,4 @@ def quantize_mixed(W, J, codebook: Codebook, config: QuantConfig) -> QuantizedTe
             else f"outlier dims must be non-negative, got {dims[dims < 0]}"
         )
 
-    return _quantize(arr, dims, codebook, config)
+    return next(quantize_group(arr, dims, [config], codebook))

@@ -16,6 +16,7 @@ codes are packed eight to a uint64 word lane (see pack_indices).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -329,16 +330,19 @@ def _normalize(x: np.ndarray, block_size: int, centered: bool):
     return normalized, absmax16, means16
 
 
-def _encode_blocks(flat: np.ndarray, codebook: Codebook, config: QuantConfig):
-    """Quantize a flat array; returns (indices, absmax16, means16)."""
-    n = flat.size
-    b = config.block_size or max(n, 1)
+def _normalized_slabs(flat: np.ndarray, block_size: int, centered: bool):
+    """Yield (lo, hi, blocks, normalized, absmax16, means16) of each slab of whole blocks."""
+    for lo, hi, blocks in _slabs(flat.size, block_size):
+        yield lo, hi, blocks, *_normalize(flat[lo:hi], block_size, centered)
+
+
+def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig):
+    """Look up the normalized slabs of n elements; returns (indices, absmax16, means16)."""
     n_blocks = block_count(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
     absmax16 = np.empty(n_blocks, dtype=np.float16)
     means16 = np.empty(n_blocks, dtype=np.float16) if config.centered else None
-    for lo, hi, blocks in _slabs(n, b):
-        normalized, slab_absmax, slab_means = _normalize(flat[lo:hi], b, config.centered)
+    for lo, hi, blocks, normalized, slab_absmax, slab_means in slabs:
         absmax16[blocks] = slab_absmax
         if means16 is not None:
             means16[blocks] = slab_means
@@ -372,29 +376,43 @@ def _check_codebook_config(codebook: Codebook, config: QuantConfig, embedded=Non
         )
 
 
-def quantize_tensor(t, codebook: Codebook, config: QuantConfig) -> QuantizedTensor:
-    """Quantize a tensor of any shape with no outlier sidecar."""
+def quantize_tensor(t, codebook: Codebook | None, config: QuantConfig) -> QuantizedTensor:
+    """Quantize a tensor of any shape with no outlier sidecar.
+
+    codebook None is the config's own; a quantile one is then estimated from the
+    normalized values the lookup reuses, where codebook_for's are normalized anew.
+    """
+    if codebook is not None:
+        _check_codebook_config(codebook, config)
+    return next(quantize_group(t, np.zeros(0, dtype=np.int32), [config], codebook))
+
+
+def quantize_group(t, dims, configs, codebook: Codebook | None = None):
+    """Yield t quantized under each config, its rows in dims (sorted, unique) kept at 16 bits.
+
+    The configs share block size and centering, so the kept rows are normalized once,
+    and held only when more than one pass reads them. Without a codebook each config
+    takes its own; every quantile width comes from one sort of codebook_for's sample.
+    """
     arr = _check_input(t)
-    _check_codebook_config(codebook, config)
-    return _quantize(arr, np.zeros(0, dtype=np.int32), codebook, config)
-
-
-def _quantize(arr, dims, codebook: Codebook, config: QuantConfig) -> QuantizedTensor:
-    """Quantize arr except its rows in dims (sorted, unique), kept at 16 bits."""
     rows = _stored16(arr[dims], "outlier value").reshape(dims.size, -1 if dims.size else 0)
     rest = np.delete(arr, dims, axis=0).ravel() if dims.size else arr.ravel()
-    indices, absmax16, means16 = _encode_blocks(rest, codebook, config)
-    return QuantizedTensor(
-        shape=tuple(arr.shape),
-        config=config,
-        packed_indices=pack_indices(indices, config.bits),
-        n_quantized=int(rest.size),
-        absmax=absmax16,
-        means=means16,
-        outlier_dims=dims,
-        outlier_rows=rows,
-        codebook_values=codebook.values.copy() if config.kind is CodebookKind.QUANTILE else None,
-    )
+    block_size, centered = configs[0].block_size, configs[0].centered
+    slabs = _normalized_slabs(rest, block_size or max(rest.size, 1), centered)
+    widths = {c.bits for c in configs if c.kind is CodebookKind.QUANTILE and codebook is None}
+    if len(configs) > 1 or (widths and not dims.size):
+        slabs = list(slabs)
+    if widths:  # the sample comes from every row, as in codebook_for
+        whole = _normalized_slabs(arr.ravel(), block_size or arr.size, centered)
+        quantile = _quantile_books(widths, whole if dims.size else slabs, arr.size)
+    for config in configs:
+        is_quantile = config.kind is CodebookKind.QUANTILE
+        book = codebook or (quantile[config.bits] if is_quantile else codebook_for(arr, config))
+        indices, absmax16, means16 = _encode_blocks(slabs, rest.size, book, config)
+        yield QuantizedTensor(
+            tuple(arr.shape), config, pack_indices(indices, config.bits), int(rest.size),
+            absmax16, means16, dims, rows, book.values.copy() if is_quantile else None,
+        )
 
 
 def reconstruct_codebook(q: QuantizedTensor) -> Codebook:
@@ -412,6 +430,7 @@ def reconstruct_codebook(q: QuantizedTensor) -> Codebook:
     return _fixed_codebook(cfg.kind, cfg.bits, cfg.exponent_bits)
 
 
+@functools.cache
 def _fixed_codebook(kind: CodebookKind, bits: int, exponent_bits: int | None) -> Codebook:
     """The int, float or dynamic codebook of a width; exponent_bits only shapes floats."""
     if kind is CodebookKind.INT:
@@ -435,13 +454,19 @@ def codebook_for(t, config: QuantConfig) -> Codebook:
     if config.kind is not CodebookKind.QUANTILE:
         return _fixed_codebook(config.kind, config.bits, config.exponent_bits)
     arr = _check_input(t).ravel()
-    b = config.block_size or arr.size
-    sample = np.empty(arr.size)
-    for lo, hi, _ in _slabs(arr.size, b):
-        sample[lo:hi] = _normalize(arr[lo:hi], b, config.centered)[0]
-    if not np.any(sample):
+    slabs = _normalized_slabs(arr, config.block_size or arr.size, config.centered)
+    return _quantile_books([config.bits], slabs, arr.size)[config.bits]
+
+
+def _quantile_books(widths, slabs, n: int) -> dict[int, Codebook]:
+    """Quantile codebook of each width from the n normalized values in slabs, sorted once."""
+    sample = np.empty(n)
+    for lo, hi, _, normalized, *_ in slabs:
+        sample[lo:hi] = normalized
+    sample.sort()
+    if not (sample[0] or sample[-1]):
         raise InvalidValueError("cannot estimate a quantile codebook from an all-zero tensor")
-    return build_quantile_codebook(QuantileSpec(config.bits, sample))
+    return {k: build_quantile_codebook(QuantileSpec(k, sample)) for k in widths}
 
 
 def _decoded_slabs(q: QuantizedTensor, codebook: Codebook | None = None):

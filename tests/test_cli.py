@@ -1,5 +1,6 @@
 """Command-line surface: payload formats, determinism, and exit codes."""
 
+import itertools
 import json
 import struct
 
@@ -18,9 +19,11 @@ from kbitq import (
     read_container,
     read_kbq,
     write_container,
+    write_kbq,
 )
-from kbitq import quantizer
+from kbitq import accounting, cli, quantizer
 from kbitq.cli import main
+from kbitq.quantizer import QuantConfig, QuantizedTensor
 
 
 def run_cli(capsys, *argv):
@@ -316,9 +319,78 @@ class TestSweepCommand:
             lossless_rows += error["lossless"]
         assert (lossless_rows > 0) == (source == "integer-grid")
 
+    def test_grouped_rows_equal_per_config_path(self, capsys, tmp_path, monkeypatch):
+        # up's columns 5 and 17 carry the largest std, so down's rows 5 and 17 are outliers
+        monkeypatch.setattr(quantizer, "_SLAB_ELEMENTS", 48)
+        gen = np.random.Generator(np.random.Philox(key=91))
+        up, down = gen.standard_normal((24, 40)), gen.standard_normal((40, 24)) + 2.0
+        up[:, [5, 17]] *= 8.0
+        down[[5, 17]] *= 25.0
+        st = tmp_path / "chain.st"
+        write_container(st, {"up": up.astype(np.float32), "down": down.astype(np.float16)})
+        code, out, _ = run_cli(
+            capsys, "sweep", st, "--dtype", "int,float,quantile", "--bits", "3,8",
+            "--block-size", "16,whole", "--centered", "0,1", "--outlier-p", "0,0.05",
+        )
+        assert code == 0
+        tensors = {name: a.astype(np.float64) for name, a in read_container(st).items()}
+        total = sum(a.size for a in tensors.values())
+        expected, outlier_rows = [], 0
+        for kind, k, block, center, p in itertools.product(
+            ["float", "int", "quantile"], [3, 8], [16, None], [False, True], [0.0, 0.05]
+        ):
+            config = QuantConfig(kind=kind, bits=k, block_size=block, centered=center,
+                                 outlier_fraction=p)
+            quantized = cli._quantize_all(tensors, config)
+            sums, util = accounting.ErrorSums(), 0.0
+            for name, q in quantized.items():
+                used, n_codes = sums.add_quantized(tensors[name], q)
+                util += q.element_count * used / n_codes
+                outlier_rows += q.outlier_dims.size
+            e_bits = default_exponent_bits(k) if kind == "float" else None
+            cells = (kind, k, e_bits, block or "whole", center, p,
+                     accounting.total_model_bits(quantized.values()) / total,
+                     *sums.report(util / total).as_dict().values())
+            expected.append(",".join(cli._csv_cell(v) for v in cells))
+        assert out.splitlines()[1:] == expected
+        assert outlier_rows == 2 * 24
+
     def test_empty_grid_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--synthetic", "gaussian", "--bits", "")
         assert code == 2 and err
+
+
+class TestZeroSizeTensor:
+    """A (0, 6) tensor is valid in KBQ and container files; over no elements errors are null."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        kbq, st = tmp_path / "e.kbq", tmp_path / "e.st"
+        q = QuantizedTensor(
+            shape=(0, 6), config=QuantConfig(kind="int", bits=4, block_size=64),
+            packed_indices=b"", n_quantized=0, absmax=np.zeros(0, np.float16), means=None,
+            outlier_dims=np.zeros(0, np.int32), outlier_rows=np.zeros((0, 0), np.float16),
+        )
+        write_kbq({"w": q}, kbq)
+        write_container(st, {"w": np.zeros((0, 6), np.float32)})
+        return kbq, st
+
+    @pytest.mark.parametrize("against", [False, True])
+    def test_inspect(self, capsys, files, against):
+        kbq, st = files
+        code, out, _ = run_cli(capsys, "inspect", kbq, *(["--against", st] if against else []))
+        assert code == 0
+        entry = json.loads(out)["tensors"]["w"]
+        assert entry["shape"] == [0, 6] and entry["n_quantized"] == 0
+        assert entry["error"] == ({
+            "mae": None, "mse": None, "max_abs_error": None, "snr_db": None,
+            "lossless": True, "codebook_utilization": 0.0,
+        } if against else None)
+
+    def test_dequantize(self, capsys, tmp_path, files):
+        code, out, _ = run_cli(capsys, "dequantize", files[0], tmp_path / "d.st")
+        assert code == 0 and json.loads(out)["tensors"] == {"w": [0, 6]}
+        assert read_container(tmp_path / "d.st").tensor("w").shape == (0, 6)
 
 
 def rewrite_manifest(path, edit):

@@ -25,6 +25,7 @@ from kbitq import (
     estimate_quantiles,
     heuristic_exponent_bits,
 )
+from kbitq.codebooks import _sorted_quantiles
 from kbitq.errors import (
     EmptyInputError,
     InvalidSpecError,
@@ -228,6 +229,28 @@ class TestEstimateQuantiles:
     def test_probability_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             estimate_quantiles([1, 2], 1.5)
+
+
+class TestSortedQuantiles:
+    """The one interpolation rule of estimate_quantiles and quantile books, against np.quantile."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 4097, 1 << 20])
+    @pytest.mark.parametrize("dist", ["gaussian", "t2", "integer-ties", "one-hot"])
+    def test_matches_np_quantile_bit_for_bit(self, dist, n):
+        gen = np.random.Generator(np.random.Philox(key=n))
+        sample = {
+            "gaussian": lambda: gen.standard_normal(n),
+            "t2": lambda: gen.standard_t(2, n),
+            "integer-ties": lambda: gen.integers(-3, 4, n).astype(np.float64),
+            "one-hot": lambda: np.eye(1, n, n // 2).ravel(),
+        }[dist]()
+        # every codebook width's probabilities, then both ends
+        probs = np.concatenate([np.arange(2**k + 1) / (2**k + 1) for k in range(2, 9)] + [[0, 1]])
+        peak = np.max(np.abs(sample)) or 1.0
+        got = _sorted_quantiles(np.sort(sample), probs, peak)
+        assert np.array_equal(got.view(np.int64), np.quantile(sample / peak, probs).view(np.int64))
+        got = estimate_quantiles(sample, probs)
+        assert np.array_equal(got.view(np.int64), np.quantile(sample, probs).view(np.int64))
 
 
 class TestQuantileCodebook:

@@ -529,3 +529,35 @@ class TestSlabs:
         assert np.array_equal(small_book.values, book.values)
         assert small_q == q
         assert np.array_equal(small_decoded, decoded)
+
+
+class TestSharedNormalization:
+    """The config's own codebook, with the kept rows normalized once, against codebook_for."""
+
+    @pytest.mark.parametrize(
+        "kind, bits, block, centered",
+        [("int", 4, 64, False), ("float", 3, None, True), ("dynamic", 5, 7, False),
+         ("quantile", 4, 32, True), ("quantile", 8, None, False)],
+    )
+    def test_default_codebook_equals_codebook_for(self, monkeypatch, kind, bits, block, centered):
+        monkeypatch.setattr(quantizer, "_SLAB_ELEMENTS", 96)
+        x = rng(78).standard_t(3, (40, 24))
+        config = QuantConfig(kind=kind, bits=bits, block_size=block, centered=centered)
+        expected = quantize_tensor(x, codebook_for(x, config), config)
+        assert quantize_tensor(x, None, config) == expected
+
+    def test_all_zero_tensor_has_no_quantile_book(self):
+        with pytest.raises(InvalidValueError):
+            quantize_tensor(np.zeros((4, 8)), None, QuantConfig(kind="quantile", bits=4))
+
+    @pytest.mark.parametrize(
+        "kind, bits, e", [("int", 4, None), ("float", 6, 2), ("dynamic", 8, None)]
+    )
+    def test_fixed_codebook_is_built_once_and_read_only(self, kind, bits, e):
+        book = quantizer._fixed_codebook(CodebookKind(kind), bits, e)
+        assert quantizer._fixed_codebook(CodebookKind(kind), bits, e) is book
+        config = QuantConfig(kind=kind, bits=bits, exponent_bits=e)
+        assert codebook_for(np.ones(3), config) is book
+        assert not book.values.flags.writeable
+        with pytest.raises(ValueError):
+            book.values[0] = 0.0
