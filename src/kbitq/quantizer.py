@@ -337,7 +337,7 @@ def _normalized_slabs(flat: np.ndarray, block_size: int, centered: bool):
 
 
 def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig):
-    """Look up the normalized slabs of n elements; returns (indices, absmax16, means16)."""
+    """Look up and pack the normalized slabs of n elements; returns (packed, absmax16, means16)."""
     n_blocks = block_count(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
     absmax16 = np.empty(n_blocks, dtype=np.float16)
@@ -347,7 +347,7 @@ def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig):
         if means16 is not None:
             means16[blocks] = slab_means
         indices[lo:hi] = lookup_indices(codebook, normalized)
-    return indices, absmax16, means16
+    return pack_indices(indices, config.bits), absmax16, means16
 
 
 def _check_input(t) -> np.ndarray:
@@ -408,10 +408,10 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None):
     for config in configs:
         is_quantile = config.kind is CodebookKind.QUANTILE
         book = codebook or (quantile[config.bits] if is_quantile else codebook_for(arr, config))
-        indices, absmax16, means16 = _encode_blocks(slabs, rest.size, book, config)
+        packed, absmax16, means16 = _encode_blocks(slabs, rest.size, book, config)
         yield QuantizedTensor(
-            tuple(arr.shape), config, pack_indices(indices, config.bits), int(rest.size),
-            absmax16, means16, dims, rows, book.values.copy() if is_quantile else None,
+            tuple(arr.shape), config, packed, int(rest.size), absmax16, means16, dims, rows,
+            book.values.copy() if is_quantile else None,
         )
 
 

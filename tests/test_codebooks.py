@@ -244,8 +244,9 @@ class TestSortedQuantiles:
             "integer-ties": lambda: gen.integers(-3, 4, n).astype(np.float64),
             "one-hot": lambda: np.eye(1, n, n // 2).ravel(),
         }[dist]()
-        # every codebook width's probabilities, then both ends
-        probs = np.concatenate([np.arange(2**k + 1) / (2**k + 1) for k in range(2, 9)] + [[0, 1]])
+        # every codebook width's probabilities, both ends, and weights of exactly 0.5
+        probs = np.concatenate([np.arange(2**k + 1) / (2**k + 1) for k in range(2, 9)]
+                               + [[0, 1, 0.5, 0.25, 0.75, 1 / 6]])
         peak = np.max(np.abs(sample)) or 1.0
         got = _sorted_quantiles(np.sort(sample), probs, peak)
         assert np.array_equal(got.view(np.int64), np.quantile(sample / peak, probs).view(np.int64))
