@@ -14,7 +14,8 @@ by kbitq, so both revisions read the same bytes.
 
 Exit codes, stdout, stderr and every file a case writes are compared byte
 for byte. The summary goes to stdout; the exit status is 0 when every call
-matched and 1 otherwise. This is a development tool, not part of the tests.
+matched and 1 otherwise. This is a development tool, not part of the tests;
+it needs Python 3.10.12 or 3.11.4 and later (tarfile's "data" filter).
 """
 
 from __future__ import annotations
