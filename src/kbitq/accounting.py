@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyInputError, UndefinedCorrelationError
 from .quantizer import QuantConfig, QuantizedTensor, block_count, reconstruct_codebook
-from .quantizer import _decoded_slabs
+from .quantizer import _decoded_slabs, _kept_values
 
 
 @dataclass(frozen=True)
@@ -153,19 +153,17 @@ class ErrorSums:
 
         Outlier rows come last, so the sums can differ from error_metrics' in the last digit.
         """
-        a = np.asarray(original, dtype=np.float64)
+        a = np.asarray(original)
         slabs = _decoded_slabs(q)
         if a.shape != q.shape:
             raise DimensionError(f"shape mismatch: {a.shape} vs {q.shape}")
-        dims = q.outlier_dims
-        kept = np.delete(a, dims, axis=0).ravel() if dims.size else a.ravel()
-        counts = np.zeros(1 << q.config.bits, dtype=np.int64)
-        for lo, hi, codes, values in slabs:
-            self.add(kept[lo:hi], values)
+        counts = np.zeros(len(reconstruct_codebook(q)), dtype=np.int64)
+        for (*_, x), (codes, values) in zip(_kept_values(a, q.outlier_dims, q.block_size), slabs):
+            self.add(x, values)
             counts += np.bincount(codes, minlength=counts.size)
-        if dims.size:
-            self.add(a[dims].ravel(), q.outlier_rows.ravel())
-        return int(np.count_nonzero(counts)), len(reconstruct_codebook(q))
+        if q.outlier_dims.size:
+            self.add(a[q.outlier_dims].ravel(), q.outlier_rows.ravel())
+        return int(np.count_nonzero(counts)), counts.size
 
     def report(self, codebook_utilization: float) -> ErrorReport:
         """Means, maximum and SNR over every element added so far."""

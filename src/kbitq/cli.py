@@ -20,6 +20,7 @@ from . import accounting, codebooks, outliers, quantizer, scaling, store, synth
 from .codebooks import CodebookKind
 from .errors import (
     DataFormatError,
+    EmptyInputError,
     InvalidFractionError,
     InvalidSpecError,
     KbitqError,
@@ -55,12 +56,11 @@ def _parse_block_size(text: str):
 
 
 def _load_input(args) -> dict[str, np.ndarray]:
-    """Tensors from a container file or the synthetic generator."""
+    """Tensors from a container file (read-only views of its F32/F16 data) or the generator."""
     if args.input is not None and args.synthetic is not None:
         raise InvalidSpecError("give either an input container or --synthetic, not both")
     if args.input is not None:
-        container = store.read_container(args.input)
-        return {name: arr.astype(np.float64) for name, arr in container.items()}
+        return dict(store.read_container(args.input).items())
     if args.synthetic is not None:
         shapes = _parse_shapes(args.shape)
         return {
@@ -96,17 +96,19 @@ def _detect_outliers(tensors: dict[str, np.ndarray], p: float) -> dict[str, np.n
     return dims
 
 
-def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig):
-    """Quantize every tensor, applying the outlier sidecar where detected."""
+def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig, errors=None):
+    """Quantize every tensor, applying the outlier sidecar where detected.
+
+    Each tensor's error is summed while it is encoded; given a dict, errors[name] is its report.
+    """
     outlier_dims = _detect_outliers(tensors, config.outlier_fraction)
     result: dict[str, quantizer.QuantizedTensor] = {}
     for name, arr in tensors.items():
-        dims = outlier_dims[name]
-        if dims.size and arr.ndim == 2:
-            codebook = quantizer.codebook_for(arr, config)
-            result[name] = outliers.quantize_mixed(arr, dims, codebook, config)
-        else:
-            result[name] = quantizer.quantize_tensor(arr, None, config)
+        sums = accounting.ErrorSums()
+        group = quantizer.quantize_group(arr, outlier_dims[name], [config], sums=[sums])
+        result[name], (used, n_codes) = next(group)
+        if errors is not None:
+            errors[name] = sums.report(used / n_codes)
     return result
 
 
@@ -126,16 +128,10 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _tensor_summary(arr, q):
+def _error(arr, q) -> dict:
     sums = accounting.ErrorSums()
     used, n_codes = sums.add_quantized(arr, q)
-    breakdown = accounting.bits_per_param(q.config, element_count=q.element_count)
-    return {
-        "shape": list(q.shape),
-        "outlier_dims": int(q.outlier_dims.size),
-        "bits_per_param": breakdown.as_dict(),
-        "error": sums.report(used / n_codes).as_dict(),
-    }
+    return sums.report(used / n_codes).as_dict()
 
 
 def cmd_quantize(args) -> int:
@@ -145,14 +141,22 @@ def cmd_quantize(args) -> int:
         args.input, output = None, args.paths[0]
     else:
         raise InvalidSpecError("expected INPUT OUTPUT, or OUTPUT with --synthetic")
-    tensors = _load_input(args)
-    config = _config_from_args(args)
-    quantized = _quantize_all(tensors, config)
+    errors: dict[str, accounting.ErrorReport] = {}
+    quantized = _quantize_all(_load_input(args), _config_from_args(args), errors)
     store.write_kbq(quantized, output)
+    summaries = {
+        name: {
+            "shape": list(q.shape),
+            "outlier_dims": int(q.outlier_dims.size),
+            "bits_per_param": accounting.bits_per_param(q.config, q.element_count).as_dict(),
+            "error": errors[name].as_dict(),
+        }
+        for name, q in quantized.items()
+    }
     _emit(
         {
             "output": str(output),
-            "tensors": {name: _tensor_summary(tensors[name], q) for name, q in quantized.items()},
+            "tensors": summaries,
             "total_model_bits": accounting.total_model_bits(quantized.values()),
         }
     )
@@ -161,10 +165,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_dequantize(args) -> int:
     quantized = store.read_kbq(args.input)
-    # cast each decode as it is made, so no two float64 tensors are held at once
-    decoded = {
-        name: quantizer.dequantize_tensor(q).astype(np.float32) for name, q in quantized.items()
-    }
+    decoded = {name: quantizer.dequantize_tensor(q, dtype=np.float32) for name, q in quantized.items()}
     store.write_container(args.output, decoded)
     _emit(
         {
@@ -191,7 +192,7 @@ def cmd_inspect(args) -> int:
             "error": None,
         }
         if against is not None and name in against:
-            entry["error"] = _tensor_summary(against.tensor(name), q)["error"]
+            entry["error"] = _error(against.tensor(name), q)
         tensors[name] = entry
     _emit(
         {
@@ -209,6 +210,8 @@ def cmd_codebook(args) -> int:
         if not args.sample:
             raise InvalidSpecError("--kind quantile requires --sample CONTAINER")
         container = store.read_container(args.sample)
+        if not container.names():
+            raise EmptyInputError(f"{args.sample}: the sample container holds no tensors")
         sample = np.concatenate([arr.ravel() for _, arr in container.items()])
         book = codebooks.build_quantile_codebook(codebooks.QuantileSpec(args.bits, sample))
     else:
@@ -235,6 +238,10 @@ def cmd_sweep(args) -> int:
     else:
         args.input = None
     tensors = _load_input(args)
+    if not tensors:
+        raise EmptyInputError(f"{args.input}: the container holds no tensors")
+    # every config reads every tensor: cast each to float64 once, not once per slab per config
+    tensors = {name: np.asarray(arr, dtype=np.float64) for name, arr in tensors.items()}
 
     try:
         kinds = sorted({CodebookKind(k).value for k in args.dtype.split(",") if k})
@@ -271,8 +278,9 @@ def cmd_sweep(args) -> int:
     for (_, _, p), group in groups.items():
         outlier_dims = _detect_outliers(tensors, p)
         for name, arr in tensors.items():
-            for config, q in zip(group, quantizer.quantize_group(arr, outlier_dims[name], group)):
-                used, n_codes = sums[config].add_quantized(arr, q)
+            scored = quantizer.quantize_group(arr, outlier_dims[name], group,
+                                              sums=[sums[config] for config in group])
+            for config, (q, (used, n_codes)) in zip(group, scored):
                 util[config] += q.element_count * used / n_codes
                 model_bits[config] += accounting.total_model_bits([q])
     for config in grid:

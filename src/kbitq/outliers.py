@@ -38,7 +38,7 @@ class LayerChain:
     """
 
     def __init__(self, weights) -> None:
-        mats = [np.asarray(w, dtype=np.float64) for w in weights]
+        mats = [np.asarray(w) for w in weights]
         if not mats:
             raise EmptyInputError("layer chain must contain at least one matrix")
         for i, w in enumerate(mats):
@@ -89,7 +89,7 @@ def detect_outlier_dims(chain: LayerChain, p: float) -> OutlierSet:
         raise InvalidFractionError(f"outlier fraction must be in [0, 1), got {p}")
     per_layer = [np.zeros(0, dtype=np.int32)]
     for w in chain.weights[:-1] if len(chain) > 1 else []:
-        stds = w.std(axis=0)
+        stds = np.asarray(w, dtype=np.float64).std(axis=0)  # one layer cast at a time
         count = _round_half_up(p * stds.size)
         # stable sort on descending std keeps the lower index on ties
         order = np.argsort(-stds, kind="stable")
@@ -104,7 +104,7 @@ def quantize_mixed(W, J, codebook: Codebook, config: QuantConfig) -> QuantizedTe
     large row cannot inflate any block constant. With J empty this reduces
     to plain quantization.
     """
-    arr = np.asarray(W, dtype=np.float64)
+    arr = np.asarray(W)
     if arr.ndim != 2:
         raise DimensionError(f"mixed-precision quantization needs a 2-D matrix, got {arr.shape}")
     _check_codebook_config(codebook, config)
@@ -117,4 +117,4 @@ def quantize_mixed(W, J, codebook: Codebook, config: QuantConfig) -> QuantizedTe
             else f"outlier dims must be non-negative, got {dims[dims < 0]}"
         )
 
-    return next(quantize_group(arr, dims, [config], codebook))
+    return next(quantize_group(arr, dims, [config], codebook))[0]

@@ -194,9 +194,10 @@ def to_float16(x) -> np.ndarray:
 
 def _stored16(x, what: str) -> np.ndarray:
     """to_float16 of values that must not saturate: |v| >= 65520 rounds past 65504."""
-    if np.any(np.abs(x) >= FLOAT16_MAX + 16):
+    y = np.asarray(x, dtype=np.float64)  # a float16 x would round 65520 itself to inf
+    if np.any(np.abs(y) >= FLOAT16_MAX + 16):
         raise InvalidValueError(f"{what} beyond the binary16 range (|v| >= 65520)")
-    return to_float16(x)
+    return to_float16(y)
 
 
 def lookup_indices(codebook: Codebook, x) -> np.ndarray:
@@ -211,6 +212,11 @@ def lookup_indices(codebook: Codebook, x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise InvalidValueError("cannot look up non-finite values")
+    return _lookup(codebook, arr)
+
+
+def _lookup(codebook: Codebook, arr: np.ndarray) -> np.ndarray:
+    """lookup_indices of float64 values already known to be finite."""
     start, padded, probes = codebook.cells
     pos = start.take(cell_index(arr, start.size - 1)).astype(np.intp)
     for i in reversed(range(probes)):
@@ -303,6 +309,35 @@ def _slabs(n: int, block_size: int):
         yield lo, hi, slice(lo // block_size, -(-hi // block_size))
 
 
+def _kept_slabs(t: np.ndarray, dims: np.ndarray, block_size: int):
+    """Yield (lo, hi, blocks, pieces) of each slab of whole blocks of t's kept elements.
+
+    Kept elements are those outside the rows in dims (sorted, unique), in row-major order;
+    pieces are the views of t that hold kept elements [lo, hi). A 0-d t is one element.
+    """
+    flat, width = t.reshape(-1), math.prod(t.shape[1:])
+    rows = dims.astype(np.int64) * width
+    starts, stops = np.append(0, rows + width), np.append(rows, flat.size)  # runs of kept rows
+    lengths = stops - starts
+    ends = np.cumsum(lengths)  # where each run ends among the kept elements
+    for lo, hi, blocks in _slabs(int(ends[-1]), block_size):
+        runs = range(np.searchsorted(ends, lo, "right"), np.searchsorted(ends, hi) + 1)
+        yield lo, hi, blocks, [flat[starts[r] + max(lo - ends[r] + lengths[r], 0) :
+                                    stops[r] - max(ends[r] - hi, 0)] for r in runs]
+
+
+def _kept_values(t: np.ndarray, dims: np.ndarray, block_size: int):
+    """The kept-row slab source: (lo, hi, blocks, x), x the float64 kept elements [lo, hi).
+
+    Each slab is cast on its own from t's dtype, so no float64 copy of t is made.
+    """
+    for lo, hi, blocks, pieces in _kept_slabs(t, dims, block_size):
+        if len(pieces) == 1:
+            yield lo, hi, blocks, pieces[0].astype(np.float64, copy=False)
+        else:
+            yield lo, hi, blocks, np.concatenate(pieces, dtype=np.float64)
+
+
 def _block_layout(n: int, block_size: int):
     starts = np.arange(0, n, block_size)
     counts = np.diff(np.append(starts, n))
@@ -330,28 +365,51 @@ def _normalize(x: np.ndarray, block_size: int, centered: bool):
     return normalized, absmax16, means16
 
 
-def _normalized_slabs(flat: np.ndarray, block_size: int, centered: bool):
-    """Yield (lo, hi, blocks, normalized, absmax16, means16) of each slab of whole blocks."""
-    for lo, hi, blocks in _slabs(flat.size, block_size):
-        yield lo, hi, blocks, *_normalize(flat[lo:hi], block_size, centered)
+def _normalized_slabs(t: np.ndarray, dims: np.ndarray, block_size: int, centered: bool):
+    """Yield ((lo, hi, blocks, x), (normalized, absmax16, means16)) of each kept-row slab of t."""
+    for slab in _kept_values(t, dims, block_size):
+        yield slab, _normalize(slab[3], block_size, centered)
 
 
-def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig):
-    """Look up and pack the normalized slabs of n elements; returns (packed, absmax16, means16)."""
+def _decode(codebook: Codebook, codes, absmax16, means16, block_size: int) -> np.ndarray:
+    """Float64 values of a slab of whole blocks from its codes and binary16 block constants."""
+    counts = _block_layout(codes.size, block_size)[1]
+    values = codebook.values[codes]
+    values *= np.repeat(absmax16.astype(np.float64), counts)
+    if means16 is not None:
+        values += np.repeat(means16.astype(np.float64), counts)
+    return values
+
+
+def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig, sums=None):
+    """Look up and pack the normalized slabs of n elements; returns (packed, absmax16, means16, use).
+
+    With sums (an accounting.ErrorSums) each slab is decoded and its error added while the
+    slab is held, and use is (codes used, codes in the book); without, use is None.
+    """
+    block_size = config.block_size or max(n, 1)
     n_blocks = block_count(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
     absmax16 = np.empty(n_blocks, dtype=np.float16)
     means16 = np.empty(n_blocks, dtype=np.float16) if config.centered else None
-    for lo, hi, blocks, normalized, slab_absmax, slab_means in slabs:
+    counts = np.zeros(len(codebook), dtype=np.int64)
+    for (lo, hi, blocks, x), (normalized, slab_absmax, slab_means) in slabs:
         absmax16[blocks] = slab_absmax
         if means16 is not None:
             means16[blocks] = slab_means
-        indices[lo:hi] = lookup_indices(codebook, normalized)
-    return pack_indices(indices, config.bits), absmax16, means16
+        indices[lo:hi] = codes = _lookup(codebook, normalized)  # finite: _check_input tested t
+        if sums is not None:
+            sums.add(x, _decode(codebook, codes, slab_absmax, slab_means, block_size))
+            counts += np.bincount(codes, minlength=counts.size)
+    use = (int(np.count_nonzero(counts)), counts.size) if sums is not None else None
+    return pack_indices(indices, config.bits), absmax16, means16, use
 
 
 def _check_input(t) -> np.ndarray:
-    arr = np.asarray(t, dtype=np.float64)
+    """t as a float16, float32 or float64 array (other dtypes cast to float64), checked."""
+    arr = np.asarray(t)
+    if arr.dtype.type not in (np.float16, np.float32, np.float64):
+        arr = arr.astype(np.float64)
     if arr.size == 0:
         raise EmptyInputError("cannot quantize an empty tensor")
     if not np.all(np.isfinite(arr)):
@@ -376,6 +434,9 @@ def _check_codebook_config(codebook: Codebook, config: QuantConfig, embedded=Non
         )
 
 
+_NO_DIMS = np.zeros(0, dtype=np.int32)
+
+
 def quantize_tensor(t, codebook: Codebook | None, config: QuantConfig) -> QuantizedTensor:
     """Quantize a tensor of any shape with no outlier sidecar.
 
@@ -384,35 +445,43 @@ def quantize_tensor(t, codebook: Codebook | None, config: QuantConfig) -> Quanti
     """
     if codebook is not None:
         _check_codebook_config(codebook, config)
-    return next(quantize_group(t, np.zeros(0, dtype=np.int32), [config], codebook))
+    return next(quantize_group(t, _NO_DIMS, [config], codebook))[0]
 
 
-def quantize_group(t, dims, configs, codebook: Codebook | None = None):
-    """Yield t quantized under each config, its rows in dims (sorted, unique) kept at 16 bits.
+def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None):
+    """Yield (q, use): t quantized under each config, its rows in dims (sorted, unique) at 16 bits.
 
     The configs share block size and centering, so the kept rows are normalized once,
     and held only when more than one pass reads them. Without a codebook each config
     takes its own; every quantile width comes from one sort of codebook_for's sample.
+    sums, if given, holds one accounting.ErrorSums per config: each slab's error is added
+    as it is encoded, the outlier rows' last, and use is q's code use (see _encode_blocks).
     """
     arr = _check_input(t)
-    rows = _stored16(arr[dims], "outlier value").reshape(dims.size, -1 if dims.size else 0)
-    rest = np.delete(arr, dims, axis=0).ravel() if dims.size else arr.ravel()
-    block_size, centered = configs[0].block_size, configs[0].centered
-    slabs = _normalized_slabs(rest, block_size or max(rest.size, 1), centered)
+    outliers = arr[dims] if dims.size else np.zeros(0)
+    rows = _stored16(outliers, "outlier value").reshape(dims.size, -1 if dims.size else 0)
+    n = arr.size - rows.size
+    block_size, centered = configs[0].block_size or max(n, 1), configs[0].centered
+    slabs, held = _normalized_slabs(arr, dims, block_size, centered), None
     widths = {c.bits for c in configs if c.kind is CodebookKind.QUANTILE and codebook is None}
     if len(configs) > 1 or (widths and not dims.size):
-        slabs = list(slabs)
+        held = [norm for _, norm in slabs]  # each pass reads its input slabs anew
     if widths:  # the sample comes from every row, as in codebook_for
-        whole = _normalized_slabs(arr.ravel(), block_size or arr.size, centered)
-        quantile = _quantile_books(widths, whole if dims.size else slabs, arr.size)
-    for config in configs:
+        whole = _normalized_slabs(arr, _NO_DIMS, configs[0].block_size or arr.size, centered)
+        quantile = _quantile_books(widths, (norm for _, norm in whole) if dims.size else held,
+                                   arr.size)
+    for config, config_sums in zip(configs, sums or [None] * len(configs)):
         is_quantile = config.kind is CodebookKind.QUANTILE
         book = codebook or (quantile[config.bits] if is_quantile else codebook_for(arr, config))
-        packed, absmax16, means16 = _encode_blocks(slabs, rest.size, book, config)
+        if held is not None:
+            slabs = zip(_kept_values(arr, dims, block_size), held)
+        packed, absmax16, means16, use = _encode_blocks(slabs, n, book, config, config_sums)
+        if config_sums is not None and dims.size:
+            config_sums.add(outliers.ravel(), rows.ravel())
         yield QuantizedTensor(
-            tuple(arr.shape), config, packed, int(rest.size), absmax16, means16, dims, rows,
+            tuple(arr.shape), config, packed, n, absmax16, means16, dims, rows,
             book.values.copy() if is_quantile else None,
-        )
+        ), use
 
 
 def reconstruct_codebook(q: QuantizedTensor) -> Codebook:
@@ -453,16 +522,17 @@ def codebook_for(t, config: QuantConfig) -> Codebook:
     """
     if config.kind is not CodebookKind.QUANTILE:
         return _fixed_codebook(config.kind, config.bits, config.exponent_bits)
-    arr = _check_input(t).ravel()
-    slabs = _normalized_slabs(arr, config.block_size or arr.size, config.centered)
-    return _quantile_books([config.bits], slabs, arr.size)[config.bits]
+    arr = _check_input(t)
+    slabs = _normalized_slabs(arr, _NO_DIMS, config.block_size or arr.size, config.centered)
+    return _quantile_books([config.bits], (norm for _, norm in slabs), arr.size)[config.bits]
 
 
-def _quantile_books(widths, slabs, n: int) -> dict[int, Codebook]:
-    """Quantile codebook of each width from the n normalized values in slabs, sorted once."""
-    sample = np.empty(n)
-    for lo, hi, _, normalized, *_ in slabs:
-        sample[lo:hi] = normalized
+def _quantile_books(widths, normalized, n: int) -> dict[int, Codebook]:
+    """Quantile codebook of each width from n values in normalized slabs, sorted once."""
+    sample, pos = np.empty(n), 0
+    for values, *_ in normalized:
+        sample[pos : pos + values.size] = values
+        pos += values.size
     sample.sort()
     if not (sample[0] or sample[-1]):
         raise InvalidValueError("cannot estimate a quantile codebook from an all-zero tensor")
@@ -470,7 +540,7 @@ def _quantile_books(widths, slabs, n: int) -> dict[int, Codebook]:
 
 
 def _decoded_slabs(q: QuantizedTensor, codebook: Codebook | None = None):
-    """Check q as dequantize_tensor does; yield (lo, hi, codes, values) of each decoded slab."""
+    """Check q as dequantize_tensor does; yield (codes, values) of each decoded slab."""
     q.validate()
     if codebook is None:
         codebook = reconstruct_codebook(q)
@@ -484,35 +554,28 @@ def _decoded_slabs(q: QuantizedTensor, codebook: Codebook | None = None):
 
     def decode():
         for lo, hi, blocks in _slabs(q.n_quantized, q.block_size):
-            counts = _block_layout(hi - lo, q.block_size)[1]
-            values = codebook.values[indices[lo:hi]]
-            values *= np.repeat(q.absmax[blocks].astype(np.float64), counts)
-            if q.means is not None:
-                values += np.repeat(q.means[blocks].astype(np.float64), counts)
-            yield lo, hi, indices[lo:hi], values
+            means16 = None if q.means is None else q.means[blocks]
+            codes = indices[lo:hi]
+            yield codes, _decode(codebook, codes, q.absmax[blocks], means16, q.block_size)
     return decode()
 
 
-def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None) -> np.ndarray:
-    """Decode a quantized tensor back to real values.
+def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None,
+                      dtype=np.float64) -> np.ndarray:
+    """Decode a quantized tensor back to real values, as an array of dtype.
 
     Looks up each code, scales by the block constant, re-adds the block
-    mean when present, and restores outlier rows from the sidecar. If no
-    codebook is passed it is reconstructed from the tensor itself; one
-    passed in must equal it (see _check_codebook_config).
+    mean when present, and restores outlier rows from the sidecar. Values are
+    computed in float64 and cast to dtype slab by slab. If no codebook is passed
+    it is reconstructed from the tensor itself; one passed in must equal it
+    (see _check_codebook_config).
     """
-    slabs = _decoded_slabs(q, codebook)  # checks q before n_quantized sizes anything
-    decoded = np.empty(q.n_quantized)
-    for lo, hi, _, values in slabs:
-        decoded[lo:hi] = values
-
-    if q.outlier_dims.size == 0:
-        return decoded.reshape(q.shape)
-
-    h = q.shape[0]
-    out = np.empty(q.shape, dtype=np.float64)
-    keep = np.ones(h, dtype=bool)
-    keep[q.outlier_dims] = False
-    out[keep] = decoded.reshape(int(keep.sum()), *q.shape[1:])
-    out[q.outlier_dims] = q.outlier_rows.astype(np.float64).reshape(-1, *q.shape[1:])
+    slabs = _decoded_slabs(q, codebook)  # checks q before its shape sizes anything
+    out = np.empty(q.shape, dtype=dtype)
+    for (*_, pieces), (_, values) in zip(_kept_slabs(out, q.outlier_dims, q.block_size), slabs):
+        for piece in pieces:
+            piece[...] = values[: piece.size]
+            values = values[piece.size :]
+    if q.outlier_dims.size:
+        out[q.outlier_dims] = q.outlier_rows.reshape(-1, *q.shape[1:])
     return out

@@ -53,11 +53,11 @@ class TensorContainer:
         return tuple(self._header[name]["shape"])
 
     def tensor(self, name: str) -> np.ndarray:
-        """Decode one tensor to float32 working precision."""
+        """One tensor as a read-only array over its stored F32 or F16 bytes, not a copy."""
         entry = self._header[name]
         begin, end = entry["data_offsets"]
         raw = np.frombuffer(self._data[begin:end], dtype=_DTYPES[entry["dtype"]])
-        return raw.reshape(entry["shape"]).astype(np.float32)
+        return raw.reshape(entry["shape"])
 
     def items(self):
         for name in self._header:
@@ -81,7 +81,7 @@ def read_container(path) -> TensorContainer:
         raise ParseError(f"{path}: header must be a JSON object")
     header.pop("__metadata__", None)
 
-    data = blob[8 + header_len :]
+    data = memoryview(blob)[8 + header_len :]  # tensors are views of it, so no copy
     spans = []
     for name, entry in header.items():
         try:

@@ -8,8 +8,9 @@ left alone. A fixed battery of `cli.main` calls then runs once per
 revision, each revision in a fresh interpreter that imports its own
 `src/`: quantize, dequantize and `inspect` (with and without `--against`)
 for every codebook kind, a few widths and block sizes, centering and
-outlier rows; sweep grids (a 144-config one among them); `codebook`; and
-the usage and runtime errors. The inputs are written by this script, not
+outlier rows; a chained F16 pair wider than one slab; a 0-d tensor and a
+container with no tensors; sweep grids (a 144-config one among them);
+`codebook`; and the usage and runtime errors. The inputs are written by this script, not
 by kbitq, so both revisions read the same bytes.
 
 Exit codes, stdout, stderr and every file a case writes are compared byte
@@ -54,8 +55,19 @@ def write_inputs(root: Path) -> None:
         "conv": gen.standard_normal((4, 6, 8)).astype("<f4"),
         "grid": np.tile(np.arange(-3.0, 4.0), (6, 1)).astype("<f4"),  # int3 is lossless here
     }
+    # a chained pair wider than one 2^18-element slab: down's kept rows of 600 values
+    # cross slab boundaries mid-row, between its planted outlier rows
+    wide_up = gen.standard_normal((600, 1000))
+    wide_up[:, [7, 300, 301, 999]] *= 8.0
+    wide_down = gen.standard_normal((1000, 600)) + 0.5
+    wide_down[[7, 300, 301, 999]] *= 30.0
     root.mkdir(parents=True, exist_ok=True)
     _write_container(root / "chain.st", chain)
+    _write_container(root / "wide.st", {"up": wide_up.astype("<f2"),
+                                        "down": wide_down.astype("<f2")})
+    _write_container(root / "scalar.st", {"s": np.array(-2.5, "<f4"),
+                                          "v": np.arange(5, dtype="<f2")})
+    _write_container(root / "empty.st", {})
     _write_container(root / "zeros.st", {"w": np.zeros((16, 16), "<f4")})
     _write_container(root / "big.st", {"w": (gen.standard_normal((64, 64)) * 1e6).astype("<f4")})
 
@@ -87,6 +99,20 @@ def battery() -> list[list[list[str]]]:
                         ["inspect", "t.kbq", "--against", chain],
                         ["inspect", "t.kbq"],
                     ])
+    for kind in ("int", "quantile"):
+        for block in ("64", "whole"):
+            for extra in ([], ["--centered"], ["--outlier-p", "0.05"],
+                          ["--centered", "--outlier-p", "0.05"]):
+                cases.append([
+                    ["quantize", "../inputs/wide.st", "t.kbq", "--dtype", kind,
+                     "--block-size", block, *extra],
+                    ["dequantize", "t.kbq", "d.st"],
+                    ["inspect", "t.kbq", "--against", "../inputs/wide.st"],
+                ])
+    for path in ("../inputs/scalar.st", "../inputs/empty.st"):
+        cases.append([["quantize", path, "t.kbq"], ["dequantize", "t.kbq", "d.st"],
+                      ["inspect", "t.kbq", "--against", path], ["sweep", path],
+                      ["codebook", "--kind", "quantile", "--bits", "3", "--sample", path]])
     cases += [
         [["quantize", "t.kbq", "--synthetic", "student-t", "--seed", "5", "--shape",
           "64x64,64x64", "--dtype", "quantile", "--outlier-p", "0.05"],
