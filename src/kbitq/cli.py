@@ -97,10 +97,8 @@ def _detect_outliers(tensors: dict[str, np.ndarray], p: float) -> dict[str, np.n
 
 
 def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig, errors=None):
-    """Quantize every tensor, applying the outlier sidecar where detected.
-
-    Each tensor's error is summed while it is encoded; given a dict, errors[name] is its report.
-    """
+    """Quantize every tensor, applying the outlier sidecar where detected; errors[name] gets
+    each tensor's ErrorReport, summed while it is encoded."""
     outlier_dims = _detect_outliers(tensors, config.outlier_fraction)
     result: dict[str, quantizer.QuantizedTensor] = {}
     for name, arr in tensors.items():
@@ -126,12 +124,6 @@ def _config_from_args(args):
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
-
-
-def _error(arr, q) -> dict:
-    sums = accounting.ErrorSums()
-    used, n_codes = sums.add_quantized(arr, q)
-    return sums.report(used / n_codes).as_dict()
 
 
 def cmd_quantize(args) -> int:
@@ -192,7 +184,9 @@ def cmd_inspect(args) -> int:
             "error": None,
         }
         if against is not None and name in against:
-            entry["error"] = _error(against.tensor(name), q)
+            sums = accounting.ErrorSums()
+            used, n_codes = sums.add_quantized(against.tensor(name), q)
+            entry["error"] = sums.report(used / n_codes).as_dict()
         tensors[name] = entry
     _emit(
         {

@@ -194,10 +194,9 @@ def to_float16(x) -> np.ndarray:
 
 def _stored16(x, what: str) -> np.ndarray:
     """to_float16 of values that must not saturate: |v| >= 65520 rounds past 65504."""
-    y = np.asarray(x, dtype=np.float64)  # a float16 x would round 65520 itself to inf
-    if np.any(np.abs(y) >= FLOAT16_MAX + 16):
+    if np.any(np.abs(x) >= np.float64(FLOAT16_MAX + 16)):  # a float16 bound would be inf
         raise InvalidValueError(f"{what} beyond the binary16 range (|v| >= 65520)")
-    return to_float16(y)
+    return to_float16(x)
 
 
 def lookup_indices(codebook: Codebook, x) -> np.ndarray:
@@ -309,14 +308,11 @@ def _slabs(n: int, block_size: int):
         yield lo, hi, slice(lo // block_size, -(-hi // block_size))
 
 
-def _kept_slabs(t: np.ndarray, dims: np.ndarray, block_size: int):
-    """Yield (lo, hi, blocks, pieces) of each slab of whole blocks of t's kept elements.
-
-    Kept elements are those outside the rows in dims (sorted, unique), in row-major order;
-    pieces are the views of t that hold kept elements [lo, hi). A 0-d t is one element.
-    """
+def _kept_slabs(t: np.ndarray, dims, block_size: int):
+    """Yield (lo, hi, blocks, pieces) per slab of whole blocks of the elements outside t's rows
+    in dims (sorted, unique), row-major; pieces are the views of t holding [lo, hi)."""
     flat, width = t.reshape(-1), math.prod(t.shape[1:])
-    rows = dims.astype(np.int64) * width
+    rows = np.asarray(dims, dtype=np.int64) * width
     starts, stops = np.append(0, rows + width), np.append(rows, flat.size)  # runs of kept rows
     lengths = stops - starts
     ends = np.cumsum(lengths)  # where each run ends among the kept elements
@@ -326,16 +322,11 @@ def _kept_slabs(t: np.ndarray, dims: np.ndarray, block_size: int):
                                     stops[r] - max(ends[r] - hi, 0)] for r in runs]
 
 
-def _kept_values(t: np.ndarray, dims: np.ndarray, block_size: int):
-    """The kept-row slab source: (lo, hi, blocks, x), x the float64 kept elements [lo, hi).
-
-    Each slab is cast on its own from t's dtype, so no float64 copy of t is made.
-    """
+def _kept_values(t: np.ndarray, dims, block_size: int):
+    """The kept-row slab source: (lo, hi, blocks, x), x kept elements [lo, hi) cast to float64."""
     for lo, hi, blocks, pieces in _kept_slabs(t, dims, block_size):
-        if len(pieces) == 1:
-            yield lo, hi, blocks, pieces[0].astype(np.float64, copy=False)
-        else:
-            yield lo, hi, blocks, np.concatenate(pieces, dtype=np.float64)
+        yield lo, hi, blocks, (pieces[0].astype(np.float64, copy=False) if len(pieces) == 1
+                               else np.concatenate(pieces, dtype=np.float64))
 
 
 def _block_layout(n: int, block_size: int):
@@ -365,7 +356,7 @@ def _normalize(x: np.ndarray, block_size: int, centered: bool):
     return normalized, absmax16, means16
 
 
-def _normalized_slabs(t: np.ndarray, dims: np.ndarray, block_size: int, centered: bool):
+def _normalized_slabs(t: np.ndarray, dims, block_size: int, centered: bool):
     """Yield ((lo, hi, blocks, x), (normalized, absmax16, means16)) of each kept-row slab of t."""
     for slab in _kept_values(t, dims, block_size):
         yield slab, _normalize(slab[3], block_size, centered)
@@ -384,32 +375,30 @@ def _decode(codebook: Codebook, codes, absmax16, means16, block_size: int) -> np
 def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig, sums=None):
     """Look up and pack the normalized slabs of n elements; returns (packed, absmax16, means16, use).
 
-    With sums (an accounting.ErrorSums) each slab is decoded and its error added while the
-    slab is held, and use is (codes used, codes in the book); without, use is None.
-    """
+    With sums (an ErrorSums) each slab's decode error is added while the slab is held; use is
+    then (codes used, codes in the book), else None."""
     block_size = config.block_size or max(n, 1)
     n_blocks = block_count(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
     absmax16 = np.empty(n_blocks, dtype=np.float16)
     means16 = np.empty(n_blocks, dtype=np.float16) if config.centered else None
-    counts = np.zeros(len(codebook), dtype=np.int64)
+    counts = 0  # becomes an array at the first slab, after that slab's lookup
     for (lo, hi, blocks, x), (normalized, slab_absmax, slab_means) in slabs:
         absmax16[blocks] = slab_absmax
         if means16 is not None:
             means16[blocks] = slab_means
-        indices[lo:hi] = codes = _lookup(codebook, normalized)  # finite: _check_input tested t
+        indices[lo:hi] = _lookup(codebook, normalized)  # finite: _check_input tested t
+        codes = indices[lo:hi]
         if sums is not None:
             sums.add(x, _decode(codebook, codes, slab_absmax, slab_means, block_size))
-            counts += np.bincount(codes, minlength=counts.size)
-    use = (int(np.count_nonzero(counts)), counts.size) if sums is not None else None
+            counts += np.bincount(codes, minlength=len(codebook))
+    use = (int(np.count_nonzero(counts)), len(codebook)) if sums is not None else None
     return pack_indices(indices, config.bits), absmax16, means16, use
 
 
 def _check_input(t) -> np.ndarray:
-    """t as a float16, float32 or float64 array (other dtypes cast to float64), checked."""
-    arr = np.asarray(t)
-    if arr.dtype.type not in (np.float16, np.float32, np.float64):
-        arr = arr.astype(np.float64)
+    """t as a non-empty, finite array: a float ndarray as it is, anything else in float64."""
+    arr = t if type(t) is np.ndarray and t.dtype.kind == "f" else np.asarray(t, dtype=np.float64)
     if arr.size == 0:
         raise EmptyInputError("cannot quantize an empty tensor")
     if not np.all(np.isfinite(arr)):
@@ -434,9 +423,6 @@ def _check_codebook_config(codebook: Codebook, config: QuantConfig, embedded=Non
         )
 
 
-_NO_DIMS = np.zeros(0, dtype=np.int32)
-
-
 def quantize_tensor(t, codebook: Codebook | None, config: QuantConfig) -> QuantizedTensor:
     """Quantize a tensor of any shape with no outlier sidecar.
 
@@ -445,7 +431,7 @@ def quantize_tensor(t, codebook: Codebook | None, config: QuantConfig) -> Quanti
     """
     if codebook is not None:
         _check_codebook_config(codebook, config)
-    return next(quantize_group(t, _NO_DIMS, [config], codebook))[0]
+    return next(quantize_group(t, np.zeros(0, dtype=np.int32), [config], codebook))[0]
 
 
 def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None):
@@ -454,8 +440,7 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     The configs share block size and centering, so the kept rows are normalized once,
     and held only when more than one pass reads them. Without a codebook each config
     takes its own; every quantile width comes from one sort of codebook_for's sample.
-    sums, if given, holds one accounting.ErrorSums per config: each slab's error is added
-    as it is encoded, the outlier rows' last, and use is q's code use (see _encode_blocks).
+    sums holds an ErrorSums per config, to score each slab as _encode_blocks encodes it.
     """
     arr = _check_input(t)
     outliers = arr[dims] if dims.size else np.zeros(0)
@@ -467,7 +452,7 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     if len(configs) > 1 or (widths and not dims.size):
         held = [norm for _, norm in slabs]  # each pass reads its input slabs anew
     if widths:  # the sample comes from every row, as in codebook_for
-        whole = _normalized_slabs(arr, _NO_DIMS, configs[0].block_size or arr.size, centered)
+        whole = _normalized_slabs(arr, (), configs[0].block_size or arr.size, centered)
         quantile = _quantile_books(widths, (norm for _, norm in whole) if dims.size else held,
                                    arr.size)
     for config, config_sums in zip(configs, sums or [None] * len(configs)):
@@ -523,7 +508,7 @@ def codebook_for(t, config: QuantConfig) -> Codebook:
     if config.kind is not CodebookKind.QUANTILE:
         return _fixed_codebook(config.kind, config.bits, config.exponent_bits)
     arr = _check_input(t)
-    slabs = _normalized_slabs(arr, _NO_DIMS, config.block_size or arr.size, config.centered)
+    slabs = _normalized_slabs(arr, (), config.block_size or arr.size, config.centered)
     return _quantile_books([config.bits], (norm for _, norm in slabs), arr.size)[config.bits]
 
 
@@ -562,13 +547,12 @@ def _decoded_slabs(q: QuantizedTensor, codebook: Codebook | None = None):
 
 def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None,
                       dtype=np.float64) -> np.ndarray:
-    """Decode a quantized tensor back to real values, as an array of dtype.
+    """Decode a quantized tensor back to real values, computed in float64, cast to dtype.
 
     Looks up each code, scales by the block constant, re-adds the block
-    mean when present, and restores outlier rows from the sidecar. Values are
-    computed in float64 and cast to dtype slab by slab. If no codebook is passed
-    it is reconstructed from the tensor itself; one passed in must equal it
-    (see _check_codebook_config).
+    mean when present, and restores outlier rows from the sidecar. If no
+    codebook is passed it is reconstructed from the tensor itself; one
+    passed in must equal it (see _check_codebook_config).
     """
     slabs = _decoded_slabs(q, codebook)  # checks q before its shape sizes anything
     out = np.empty(q.shape, dtype=dtype)
