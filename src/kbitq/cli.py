@@ -97,8 +97,10 @@ def _detect_outliers(tensors: dict[str, np.ndarray], p: float) -> dict[str, np.n
 
 
 def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig, errors=None):
-    """Quantize every tensor, applying the outlier sidecar where detected; errors[name] gets
-    each tensor's ErrorReport, summed while it is encoded."""
+    """Quantize every tensor, applying the outlier sidecar where detected.
+
+    Each tensor's error is summed while it is encoded; errors[name] gets its ErrorReport.
+    """
     outlier_dims = _detect_outliers(tensors, config.outlier_fraction)
     result: dict[str, quantizer.QuantizedTensor] = {}
     for name, arr in tensors.items():

@@ -309,8 +309,11 @@ def _slabs(n: int, block_size: int):
 
 
 def _kept_slabs(t: np.ndarray, dims, block_size: int):
-    """Yield (lo, hi, blocks, pieces) per slab of whole blocks of the elements outside t's rows
-    in dims (sorted, unique), row-major; pieces are the views of t holding [lo, hi)."""
+    """Yield (lo, hi, blocks, pieces) of each slab of whole blocks of t's kept elements.
+
+    Kept elements lie outside t's rows in dims (sorted, unique), in row-major order;
+    pieces are the views of t that hold kept elements [lo, hi). A 0-d t is one element.
+    """
     flat, width = t.reshape(-1), math.prod(t.shape[1:])
     rows = np.asarray(dims, dtype=np.int64) * width
     starts, stops = np.append(0, rows + width), np.append(rows, flat.size)  # runs of kept rows
@@ -376,13 +379,14 @@ def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig, sums=
     """Look up and pack the normalized slabs of n elements; returns (packed, absmax16, means16, use).
 
     With sums (an ErrorSums) each slab's decode error is added while the slab is held; use is
-    then (codes used, codes in the book), else None."""
+    then (codes used, codes in the book), else None.
+    """
     block_size = config.block_size or max(n, 1)
     n_blocks = block_count(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
     absmax16 = np.empty(n_blocks, dtype=np.float16)
     means16 = np.empty(n_blocks, dtype=np.float16) if config.centered else None
-    counts = 0  # becomes an array at the first slab, after that slab's lookup
+    counts = np.zeros(len(codebook), dtype=np.int64)
     for (lo, hi, blocks, x), (normalized, slab_absmax, slab_means) in slabs:
         absmax16[blocks] = slab_absmax
         if means16 is not None:
@@ -391,8 +395,8 @@ def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig, sums=
         codes = indices[lo:hi]
         if sums is not None:
             sums.add(x, _decode(codebook, codes, slab_absmax, slab_means, block_size))
-            counts += np.bincount(codes, minlength=len(codebook))
-    use = (int(np.count_nonzero(counts)), len(codebook)) if sums is not None else None
+            counts += np.bincount(codes, minlength=counts.size)
+    use = (int(np.count_nonzero(counts)), counts.size) if sums is not None else None
     return pack_indices(indices, config.bits), absmax16, means16, use
 
 
