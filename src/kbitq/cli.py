@@ -159,7 +159,9 @@ def cmd_quantize(args) -> int:
 
 def cmd_dequantize(args) -> int:
     quantized = store.read_kbq(args.input)
-    decoded = {name: quantizer.dequantize_tensor(q, dtype=np.float32) for name, q in quantized.items()}
+    decoded = {
+        name: quantizer.dequantize_tensor(q, dtype=np.float32) for name, q in quantized.items()
+    }
     store.write_container(args.output, decoded)
     _emit(
         {

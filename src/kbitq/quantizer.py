@@ -376,7 +376,7 @@ def _decode(codebook: Codebook, codes, absmax16, means16, block_size: int) -> np
 
 
 def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig, sums=None):
-    """Look up and pack the normalized slabs of n elements; returns (packed, absmax16, means16, use).
+    """Look up and pack normalized slabs of n elements; returns (packed, absmax16, means16, use).
 
     With sums (an ErrorSums) each slab's decode error is added while the slab is held; use is
     then (codes used, codes in the book), else None.
@@ -456,9 +456,9 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     if len(configs) > 1 or (widths and not dims.size):
         held = [norm for _, norm in slabs]  # each pass reads its input slabs anew
     if widths:  # the sample comes from every row, as in codebook_for
-        whole = _normalized_slabs(arr, (), configs[0].block_size or arr.size, centered)
-        quantile = _quantile_books(widths, (norm for _, norm in whole) if dims.size else held,
-                                   arr.size)
+        sample = held if not dims.size else (norm for _, norm in _normalized_slabs(
+            arr, (), configs[0].block_size or arr.size, centered))
+        quantile = _quantile_books(widths, sample, arr.size)
     for config, config_sums in zip(configs, sums or [None] * len(configs)):
         is_quantile = config.kind is CodebookKind.QUANTILE
         book = codebook or (quantile[config.bits] if is_quantile else codebook_for(arr, config))

@@ -45,7 +45,8 @@ def chained(dtype):
     up[:, [3, 4, 21]] *= 9.0
     down = gen.standard_normal((30, 22)) + 1.5
     down[[3, 4, 21]] *= 20.0
-    return {"up": up.astype(dtype), "down": down.astype(dtype), "bias": gen.standard_t(3, 22).astype(dtype)}
+    bias = gen.standard_t(3, 22)
+    return {"up": up.astype(dtype), "down": down.astype(dtype), "bias": bias.astype(dtype)}
 
 
 CONFIGS = [
@@ -110,7 +111,7 @@ def test_quantize_equals_library_on_float64_cast(capsys, tmp_path, monkeypatch, 
     for name, q in expected.items():
         want = dequantize_tensor(q).astype(np.float32)
         got = dequantize_tensor(q, dtype=np.float32)
-        assert got.dtype == np.float32 and got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
         assert decoded.tensor(name).tobytes() == want.tobytes()
         if q.outlier_dims.size:
             assert np.array_equal(got[q.outlier_dims], q.outlier_rows.astype(np.float32))
