@@ -132,9 +132,11 @@ class ErrorSums:
     def __init__(self) -> None:
         self.n = 0
         self.signal = self.abs_err = self.sq_err = self.max_abs_error = 0.0
+        self.code_use = None  # (codes used, codes in the book) of the last tensor ended
+        self._used = None  # which codes the current tensor's slabs used so far
 
-    def add(self, original, dequantized) -> None:
-        """Add one tensor and its reconstruction."""
+    def add(self, original, dequantized, codes=None) -> None:
+        """Add one tensor and its reconstruction, or a slab of one decoded from codes."""
         a = np.asarray(original, dtype=np.float64)
         b = np.asarray(dequantized, dtype=np.float64)
         if a.shape != b.shape:
@@ -147,6 +149,17 @@ class ErrorSums:
         self.abs_err += float(np.sum(err))
         self.max_abs_error = max(self.max_abs_error, float(np.max(err, initial=0.0)))
         self.sq_err += float(np.sum(np.square(err, out=err)))
+        if codes is not None:
+            if self._used is None:
+                self._used = np.zeros(256, dtype=bool)  # codes have at most 8 bits
+            self._used[codes] = True
+
+    def end_tensor(self, outliers, rows, n_codes: int) -> tuple[int, int]:
+        """Add the tensor's outlier rows after its slabs; returns and keeps its code_use."""
+        self.add(np.ravel(outliers), np.ravel(rows))
+        used = 0 if self._used is None else int(np.count_nonzero(self._used))
+        self.code_use, self._used = (used, n_codes), None
+        return self.code_use
 
     def add_quantized(self, original, q: QuantizedTensor) -> tuple[int, int]:
         """Add a tensor and its quantization q, decoding q slab by slab; returns code_use(q).
@@ -157,13 +170,10 @@ class ErrorSums:
         slabs = _decoded_slabs(q)
         if a.shape != q.shape:
             raise DimensionError(f"shape mismatch: {a.shape} vs {q.shape}")
-        counts = np.zeros(len(reconstruct_codebook(q)), dtype=np.int64)
         for (*_, x), (codes, values) in zip(_kept_values(a, q.outlier_dims, q.block_size), slabs):
-            self.add(x, values)
-            counts += np.bincount(codes, minlength=counts.size)
-        if q.outlier_dims.size:
-            self.add(a[q.outlier_dims].ravel(), q.outlier_rows.ravel())
-        return int(np.count_nonzero(counts)), counts.size
+            self.add(x, values, codes)
+        outliers = a[q.outlier_dims] if q.outlier_dims.size else ()
+        return self.end_tensor(outliers, q.outlier_rows, len(reconstruct_codebook(q)))
 
     def report(self, codebook_utilization: float) -> ErrorReport:
         """Means, maximum and SNR over every element added so far."""

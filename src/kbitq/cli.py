@@ -96,19 +96,18 @@ def _detect_outliers(tensors: dict[str, np.ndarray], p: float) -> dict[str, np.n
     return dims
 
 
-def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig, errors=None):
-    """Quantize every tensor, applying the outlier sidecar where detected.
-
-    Each tensor's error is summed while it is encoded; errors[name] gets its ErrorReport.
-    """
+def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig, sums=None):
+    """Quantize every tensor, applying the outlier sidecar where detected; sums[name] scores it."""
     outlier_dims = _detect_outliers(tensors, config.outlier_fraction)
     result: dict[str, quantizer.QuantizedTensor] = {}
     for name, arr in tensors.items():
-        sums = accounting.ErrorSums()
-        group = quantizer.quantize_group(arr, outlier_dims[name], [config], sums=[sums])
-        result[name], (used, n_codes) = next(group)
-        if errors is not None:
-            errors[name] = sums.report(used / n_codes)
+        dims = outlier_dims[name]
+        scored = None if sums is None else sums.setdefault(name, accounting.ErrorSums())
+        if dims.size and arr.ndim == 2:
+            codebook = quantizer.codebook_for(arr, config)
+            result[name] = outliers.quantize_mixed(arr, dims, codebook, config, scored)
+        else:
+            result[name] = quantizer.quantize_tensor(arr, None, config, scored)
     return result
 
 
@@ -128,6 +127,17 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _tensor_summary(q, sums):
+    used, n_codes = sums.code_use
+    breakdown = accounting.bits_per_param(q.config, element_count=q.element_count)
+    return {
+        "shape": list(q.shape),
+        "outlier_dims": int(q.outlier_dims.size),
+        "bits_per_param": breakdown.as_dict(),
+        "error": sums.report(used / n_codes).as_dict(),
+    }
+
+
 def cmd_quantize(args) -> int:
     if len(args.paths) == 2:
         args.input, output = args.paths
@@ -135,22 +145,15 @@ def cmd_quantize(args) -> int:
         args.input, output = None, args.paths[0]
     else:
         raise InvalidSpecError("expected INPUT OUTPUT, or OUTPUT with --synthetic")
-    errors: dict[str, accounting.ErrorReport] = {}
-    quantized = _quantize_all(_load_input(args), _config_from_args(args), errors)
+    tensors = _load_input(args)
+    config = _config_from_args(args)
+    sums: dict[str, accounting.ErrorSums] = {}
+    quantized = _quantize_all(tensors, config, sums)
     store.write_kbq(quantized, output)
-    summaries = {
-        name: {
-            "shape": list(q.shape),
-            "outlier_dims": int(q.outlier_dims.size),
-            "bits_per_param": accounting.bits_per_param(q.config, q.element_count).as_dict(),
-            "error": errors[name].as_dict(),
-        }
-        for name, q in quantized.items()
-    }
     _emit(
         {
             "output": str(output),
-            "tensors": summaries,
+            "tensors": {name: _tensor_summary(q, sums[name]) for name, q in quantized.items()},
             "total_model_bits": accounting.total_model_bits(quantized.values()),
         }
     )
@@ -189,8 +192,8 @@ def cmd_inspect(args) -> int:
         }
         if against is not None and name in against:
             sums = accounting.ErrorSums()
-            used, n_codes = sums.add_quantized(against.tensor(name), q)
-            entry["error"] = sums.report(used / n_codes).as_dict()
+            sums.add_quantized(against.tensor(name), q)
+            entry["error"] = _tensor_summary(q, sums)["error"]
         tensors[name] = entry
     _emit(
         {
@@ -276,9 +279,10 @@ def cmd_sweep(args) -> int:
     for (_, _, p), group in groups.items():
         outlier_dims = _detect_outliers(tensors, p)
         for name, arr in tensors.items():
-            scored = quantizer.quantize_group(arr, outlier_dims[name], group,
-                                              sums=[sums[config] for config in group])
-            for config, (q, (used, n_codes)) in zip(group, scored):
+            encoded = quantizer.quantize_group(arr, outlier_dims[name], group,
+                                               sums=[sums[config] for config in group])
+            for config, q in zip(group, encoded):
+                used, n_codes = sums[config].code_use
                 util[config] += q.element_count * used / n_codes
                 model_bits[config] += accounting.total_model_bits([q])
     for config in grid:

@@ -97,12 +97,13 @@ def detect_outlier_dims(chain: LayerChain, p: float) -> OutlierSet:
     return OutlierSet(per_layer=tuple(per_layer), fraction=float(p))
 
 
-def quantize_mixed(W, J, codebook: Codebook, config: QuantConfig) -> QuantizedTensor:
+def quantize_mixed(W, J, codebook: Codebook, config: QuantConfig, sums=None) -> QuantizedTensor:
     """Quantize a matrix with the input rows in J kept verbatim at 16-bit.
 
     Outlier rows are excluded from block statistics entirely, so a single
     large row cannot inflate any block constant. With J empty this reduces
-    to plain quantization.
+    to plain quantization. With sums (an ErrorSums) the matrix is scored as
+    it is encoded (see quantize_group).
     """
     arr = np.asarray(W)
     if arr.ndim != 2:
@@ -117,4 +118,4 @@ def quantize_mixed(W, J, codebook: Codebook, config: QuantConfig) -> QuantizedTe
             else f"outlier dims must be non-negative, got {dims[dims < 0]}"
         )
 
-    return next(quantize_group(arr, dims, [config], codebook))[0]
+    return next(quantize_group(arr, dims, [config], codebook, [sums]))

@@ -199,7 +199,7 @@ def _stored16(x, what: str) -> np.ndarray:
     return to_float16(x)
 
 
-def lookup_indices(codebook: Codebook, x) -> np.ndarray:
+def lookup_indices(codebook: Codebook, x, check: bool = True) -> np.ndarray:
     """Nearest-code index for each element, ties toward the smaller index.
 
     The index is the number of Codebook.thresholds strictly below the
@@ -207,15 +207,11 @@ def lookup_indices(codebook: Codebook, x) -> np.ndarray:
     the count before x's cell (cells are monotone in x), and branchless bisection adds
     those inside it. The thresholds are exact, so this equals the two-sided rule
     (x - v[j]) <= (v[j+1] - x) bit for bit, ties included; out-of-range x clamps.
+    check=False skips the finiteness test, for values the caller has tested.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if check and not np.all(np.isfinite(arr)):
         raise InvalidValueError("cannot look up non-finite values")
-    return _lookup(codebook, arr)
-
-
-def _lookup(codebook: Codebook, arr: np.ndarray) -> np.ndarray:
-    """lookup_indices of float64 values already known to be finite."""
     start, padded, probes = codebook.cells
     pos = start.take(cell_index(arr, start.size - 1)).astype(np.intp)
     for i in reversed(range(probes)):
@@ -376,28 +372,23 @@ def _decode(codebook: Codebook, codes, absmax16, means16, block_size: int) -> np
 
 
 def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig, sums=None):
-    """Look up and pack normalized slabs of n elements; returns (packed, absmax16, means16, use).
+    """Look up and pack normalized slabs of n elements; returns (packed, absmax16, means16).
 
-    With sums (an ErrorSums) each slab's decode error is added while the slab is held; use is
-    then (codes used, codes in the book), else None.
+    With sums (an ErrorSums) each slab is decoded and scored while it is held.
     """
-    block_size = config.block_size or max(n, 1)
     n_blocks = block_count(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
     absmax16 = np.empty(n_blocks, dtype=np.float16)
     means16 = np.empty(n_blocks, dtype=np.float16) if config.centered else None
-    counts = np.zeros(len(codebook), dtype=np.int64)
     for (lo, hi, blocks, x), (normalized, slab_absmax, slab_means) in slabs:
         absmax16[blocks] = slab_absmax
         if means16 is not None:
             means16[blocks] = slab_means
-        indices[lo:hi] = _lookup(codebook, normalized)  # finite: _check_input tested t
-        codes = indices[lo:hi]
+        indices[lo:hi] = lookup_indices(codebook, normalized, check=False)  # _check_input did
         if sums is not None:
-            sums.add(x, _decode(codebook, codes, slab_absmax, slab_means, block_size))
-            counts += np.bincount(codes, minlength=counts.size)
-    use = (int(np.count_nonzero(counts)), counts.size) if sums is not None else None
-    return pack_indices(indices, config.bits), absmax16, means16, use
+            codes, block_size = indices[lo:hi], config.block_size or n
+            sums.add(x, _decode(codebook, codes, slab_absmax, slab_means, block_size), codes)
+    return pack_indices(indices, config.bits), absmax16, means16
 
 
 def _check_input(t) -> np.ndarray:
@@ -427,24 +418,27 @@ def _check_codebook_config(codebook: Codebook, config: QuantConfig, embedded=Non
         )
 
 
-def quantize_tensor(t, codebook: Codebook | None, config: QuantConfig) -> QuantizedTensor:
+def quantize_tensor(t, codebook: Codebook | None, config: QuantConfig,
+                    sums=None) -> QuantizedTensor:
     """Quantize a tensor of any shape with no outlier sidecar.
 
     codebook None is the config's own; a quantile one is then estimated from the
     normalized values the lookup reuses, where codebook_for's are normalized anew.
+    With sums (an ErrorSums) the tensor is scored as it is encoded (see quantize_group).
     """
     if codebook is not None:
         _check_codebook_config(codebook, config)
-    return next(quantize_group(t, np.zeros(0, dtype=np.int32), [config], codebook))[0]
+    return next(quantize_group(t, np.zeros(0, dtype=np.int32), [config], codebook, [sums]))
 
 
 def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None):
-    """Yield (q, use): t quantized under each config, its rows in dims (sorted, unique) at 16 bits.
+    """Yield t quantized under each config, its rows in dims (sorted, unique) kept at 16 bits.
 
     The configs share block size and centering, so the kept rows are normalized once,
     and held only when more than one pass reads them. Without a codebook each config
     takes its own; every quantile width comes from one sort of codebook_for's sample.
-    sums holds an ErrorSums per config, to score each slab as _encode_blocks encodes it.
+    sums holds an ErrorSums per config: each slab is scored as it is encoded, the
+    outlier rows last, and the ErrorSums' code_use is set before q is yielded.
     """
     arr = _check_input(t)
     outliers = arr[dims] if dims.size else np.zeros(0)
@@ -464,13 +458,13 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
         book = codebook or (quantile[config.bits] if is_quantile else codebook_for(arr, config))
         if held is not None:
             slabs = zip(_kept_values(arr, dims, block_size), held)
-        packed, absmax16, means16, use = _encode_blocks(slabs, n, book, config, config_sums)
-        if config_sums is not None and dims.size:
-            config_sums.add(outliers.ravel(), rows.ravel())
+        packed, absmax16, means16 = _encode_blocks(slabs, n, book, config, config_sums)
+        if config_sums is not None:
+            config_sums.end_tensor(outliers, rows, len(book))
         yield QuantizedTensor(
             tuple(arr.shape), config, packed, n, absmax16, means16, dims, rows,
             book.values.copy() if is_quantile else None,
-        ), use
+        )
 
 
 def reconstruct_codebook(q: QuantizedTensor) -> Codebook:

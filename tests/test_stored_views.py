@@ -117,6 +117,22 @@ def test_quantize_equals_library_on_float64_cast(capsys, tmp_path, monkeypatch, 
             assert np.array_equal(got[q.outlier_dims], q.outlier_rows.astype(np.float32))
 
 
+@pytest.mark.parametrize("kind, block, centered", CONFIGS)
+def test_scores_made_while_encoding_equal_the_decoded_ones(monkeypatch, kind, block, centered):
+    monkeypatch.setattr(quantizer, "_SLAB_ELEMENTS", 48)
+    stored = chained(np.float16)
+    config = QuantConfig(kind=kind, bits=3, block_size=block, centered=centered)
+    for name, a in stored.items():
+        dims = np.array([3, 4, 21] if name == "down" else [], dtype=np.int32)
+        encoding, decoded = accounting.ErrorSums(), accounting.ErrorSums()
+        if dims.size:
+            q = quantize_mixed(a, dims, codebook_for(a, config), config, encoding)
+        else:
+            q = quantize_tensor(a, None, config, encoding)
+        assert encoding.code_use == decoded.add_quantized(a, q) == accounting.code_use(q)
+        assert vars(encoding) == vars(decoded)
+
+
 def test_container_tensors_are_read_only_views(tmp_path):
     stored = chained(np.float16)
     write_container(tmp_path / "in.st", stored)
