@@ -199,7 +199,7 @@ def _stored16(x, what: str) -> np.ndarray:
     return to_float16(x)
 
 
-def lookup_indices(codebook: Codebook, x, check: bool = True) -> np.ndarray:
+def lookup_indices(codebook: Codebook, x, check_finite: bool = True) -> np.ndarray:
     """Nearest-code index for each element, ties toward the smaller index.
 
     The index is the number of Codebook.thresholds strictly below the
@@ -207,10 +207,10 @@ def lookup_indices(codebook: Codebook, x, check: bool = True) -> np.ndarray:
     the count before x's cell (cells are monotone in x), and branchless bisection adds
     those inside it. The thresholds are exact, so this equals the two-sided rule
     (x - v[j]) <= (v[j+1] - x) bit for bit, ties included; out-of-range x clamps.
-    check=False skips the finiteness test, for values the caller has tested.
+    check_finite=False skips the finiteness test, for values the caller has tested.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if check and not np.all(np.isfinite(arr)):
+    if check_finite and not np.all(np.isfinite(arr)):
         raise InvalidValueError("cannot look up non-finite values")
     start, padded, probes = codebook.cells
     pos = start.take(cell_index(arr, start.size - 1)).astype(np.intp)
@@ -384,7 +384,8 @@ def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig, sums=
         absmax16[blocks] = slab_absmax
         if means16 is not None:
             means16[blocks] = slab_means
-        indices[lo:hi] = lookup_indices(codebook, normalized, check=False)  # _check_input did
+        # _check_input tested the whole tensor, so the slab need not be tested again
+        indices[lo:hi] = lookup_indices(codebook, normalized, check_finite=False)
         if sums is not None:
             codes, block_size = indices[lo:hi], config.block_size or n
             sums.add(x, _decode(codebook, codes, slab_absmax, slab_means, block_size), codes)
