@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyInputError, UndefinedCorrelationError
 from .quantizer import QuantConfig, QuantizedTensor, block_count, reconstruct_codebook
-from .quantizer import _decoded_slabs, _kept_values
+from .quantizer import _checked_codes, _decode, _kept_values
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,14 @@ class ErrorSums:
         Outlier rows come last, so the sums can differ from error_metrics' in the last digit.
         """
         a = np.asarray(original)
-        slabs = _decoded_slabs(q)
+        codebook, indices = _checked_codes(q)
         if a.shape != q.shape:
             raise DimensionError(f"shape mismatch: {a.shape} vs {q.shape}")
-        for (*_, x), (codes, values) in zip(_kept_values(a, q.outlier_dims, q.block_size), slabs):
-            self.add(x, values, codes)
+        for lo, hi, blocks, x in _kept_values(a, q.outlier_dims, q.block_size):
+            codes = indices[lo:hi]
+            self.add(x, _decode(codebook, codes, q.absmax, q.means, blocks, q.block_size), codes)
         outliers = a[q.outlier_dims] if q.outlier_dims.size else ()
-        return self.end_tensor(outliers, q.outlier_rows, len(reconstruct_codebook(q)))
+        return self.end_tensor(outliers, q.outlier_rows, len(codebook))
 
     def report(self, codebook_utilization: float) -> ErrorReport:
         """Means, maximum and SNR over every element added so far."""

@@ -251,9 +251,12 @@ def cmd_sweep(args) -> int:
             {_parse_block_size(b) for b in args.block_size.split(",") if b},
             key=lambda b: (b is None, b),
         )
-        centered = sorted({bool(int(c)) for c in args.centered.split(",") if c})
+        flags = {int(c) for c in args.centered.split(",") if c}
+        if flags - {0, 1}:
+            raise InvalidSpecError(f"bad grid value: centered is 0 or 1, not {min(flags - {0, 1})}")
+        centered = sorted(map(bool, flags))
         fractions = sorted({float(p) for p in args.outlier_p.split(",") if p})
-    except InvalidSpecError:  # a block size, already worded
+    except InvalidSpecError:  # a block size or centering flag, already worded
         raise
     except ValueError as exc:
         raise InvalidSpecError(f"bad grid value: {exc}")

@@ -84,8 +84,11 @@ class QuantConfig:
             raise InvalidFractionError(
                 f"outlier fraction must be in [0, 1), got {self.outlier_fraction}"
             )
-        if self.exponent_bits is not None and kind is not CodebookKind.FLOAT:
+        e = self.exponent_bits
+        if e is not None and kind is not CodebookKind.FLOAT:
             raise InvalidSpecError("exponent_bits only applies to the float kind")
+        if e is not None and not (isinstance(e, (int, np.integer)) and 1 <= e < self.bits):
+            raise InvalidSpecError(f"exponent_bits must be an integer in [1, bits), got {e!r}")
 
 
 @dataclass(eq=False)
@@ -158,22 +161,13 @@ class QuantizedTensor:
         if not isinstance(other, QuantizedTensor):
             return NotImplemented
 
-        def same(a, b):
-            if a is None or b is None:
-                return (a is None) == (b is None)
-            return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        def same(a, b):  # an array equals only an array of its dtype, shape and values
+            if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+                return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            return not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray) and a == b
 
-        return (
-            self.shape == other.shape
-            and self.config == other.config
-            and self.packed_indices == other.packed_indices
-            and self.n_quantized == other.n_quantized
-            and same(self.absmax, other.absmax)
-            and same(self.means, other.means)
-            and same(self.outlier_dims, other.outlier_dims)
-            and same(self.outlier_rows, other.outlier_rows)
-            and same(self.codebook_values, other.codebook_values)
-        )
+        mine, theirs = vars(self), vars(other)
+        return mine.keys() == theirs.keys() and all(same(v, theirs[k]) for k, v in mine.items())
 
 
 def block_count(n: int, block_size: int | None) -> int:
@@ -296,29 +290,25 @@ def unpack_indices(data: bytes, k: int, count: int) -> np.ndarray:
 _SLAB_ELEMENTS = 1 << 18
 
 
-def _slabs(n: int, block_size: int):
-    """Yield (lo, hi, blocks): element range and block slice of each slab of whole blocks."""
-    step = block_size * max(1, _SLAB_ELEMENTS // block_size)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        yield lo, hi, slice(lo // block_size, -(-hi // block_size))
-
-
 def _kept_slabs(t: np.ndarray, dims, block_size: int):
     """Yield (lo, hi, blocks, pieces) of each slab of whole blocks of t's kept elements.
 
     Kept elements lie outside t's rows in dims (sorted, unique), in row-major order;
-    pieces are the views of t that hold kept elements [lo, hi). A 0-d t is one element.
+    blocks slices the slab's blocks, and pieces are the views of t that hold kept
+    elements [lo, hi). A 0-d t is one element.
     """
     flat, width = t.reshape(-1), math.prod(t.shape[1:])
     rows = np.asarray(dims, dtype=np.int64) * width
     starts, stops = np.append(0, rows + width), np.append(rows, flat.size)  # runs of kept rows
     lengths = stops - starts
     ends = np.cumsum(lengths)  # where each run ends among the kept elements
-    for lo, hi, blocks in _slabs(int(ends[-1]), block_size):
+    n, step = int(ends[-1]), block_size * max(1, _SLAB_ELEMENTS // block_size)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         runs = range(np.searchsorted(ends, lo, "right"), np.searchsorted(ends, hi) + 1)
-        yield lo, hi, blocks, [flat[starts[r] + max(lo - ends[r] + lengths[r], 0) :
-                                    stops[r] - max(ends[r] - hi, 0)] for r in runs]
+        yield lo, hi, slice(lo // block_size, -(-hi // block_size)), [
+            flat[starts[r] + max(lo - ends[r] + lengths[r], 0) : stops[r] - max(ends[r] - hi, 0)]
+            for r in runs]
 
 
 def _kept_values(t: np.ndarray, dims, block_size: int):
@@ -355,40 +345,36 @@ def _normalize(x: np.ndarray, block_size: int, centered: bool):
     return normalized, absmax16, means16
 
 
-def _normalized_slabs(t: np.ndarray, dims, block_size: int, centered: bool):
-    """Yield ((lo, hi, blocks, x), (normalized, absmax16, means16)) of each kept-row slab of t."""
-    for slab in _kept_values(t, dims, block_size):
-        yield slab, _normalize(slab[3], block_size, centered)
-
-
-def _decode(codebook: Codebook, codes, absmax16, means16, block_size: int) -> np.ndarray:
-    """Float64 values of a slab of whole blocks from its codes and binary16 block constants."""
+def _decode(codebook: Codebook, codes, absmax16, means16, blocks, block_size: int) -> np.ndarray:
+    """Float64 values of a slab from its codes and the binary16 absmax16/means16 of its blocks."""
     counts = _block_layout(codes.size, block_size)[1]
     values = codebook.values[codes]
-    values *= np.repeat(absmax16.astype(np.float64), counts)
+    values *= np.repeat(absmax16[blocks].astype(np.float64), counts)
     if means16 is not None:
-        values += np.repeat(means16.astype(np.float64), counts)
+        values += np.repeat(means16[blocks].astype(np.float64), counts)
     return values
 
 
-def _encode_blocks(slabs, n: int, codebook: Codebook, config: QuantConfig, sums=None):
-    """Look up and pack normalized slabs of n elements; returns (packed, absmax16, means16).
+def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, held=None, sums=None):
+    """Look up and pack the n kept elements of t; returns (packed, absmax16, means16).
 
+    Each kept-row slab is normalized here, unless held[i] holds slab i normalized.
     With sums (an ErrorSums) each slab is decoded and scored while it is held.
     """
-    n_blocks = block_count(n, config.block_size)
+    block_size, n_blocks = config.block_size or max(n, 1), block_count(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
     absmax16 = np.empty(n_blocks, dtype=np.float16)
     means16 = np.empty(n_blocks, dtype=np.float16) if config.centered else None
-    for (lo, hi, blocks, x), (normalized, slab_absmax, slab_means) in slabs:
-        absmax16[blocks] = slab_absmax
+    for i, (lo, hi, blocks, x) in enumerate(_kept_values(t, dims, block_size)):
+        normalized, absmax16[blocks], slab_means = (
+            _normalize(x, block_size, config.centered) if held is None else held[i])
         if means16 is not None:
             means16[blocks] = slab_means
         # _check_input tested the whole tensor, so the slab need not be tested again
         indices[lo:hi] = lookup_indices(codebook, normalized, check_finite=False)
         if sums is not None:
-            codes, block_size = indices[lo:hi], config.block_size or n
-            sums.add(x, _decode(codebook, codes, slab_absmax, slab_means, block_size), codes)
+            codes = indices[lo:hi]
+            sums.add(x, _decode(codebook, codes, absmax16, means16, blocks, block_size), codes)
     return pack_indices(indices, config.bits), absmax16, means16
 
 
@@ -446,20 +432,15 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     rows = _stored16(outliers, "outlier value").reshape(dims.size, -1 if dims.size else 0)
     n = arr.size - rows.size
     block_size, centered = configs[0].block_size or max(n, 1), configs[0].centered
-    slabs, held = _normalized_slabs(arr, dims, block_size, centered), None
     widths = {c.bits for c in configs if c.kind is CodebookKind.QUANTILE and codebook is None}
-    if len(configs) > 1 or (widths and not dims.size):
-        held = [norm for _, norm in slabs]  # each pass reads its input slabs anew
-    if widths:  # the sample comes from every row, as in codebook_for
-        sample = held if not dims.size else (norm for _, norm in _normalized_slabs(
-            arr, (), configs[0].block_size or arr.size, centered))
-        quantile = _quantile_books(widths, sample, arr.size)
+    held = ([_normalize(x, block_size, centered) for *_, x in _kept_values(arr, dims, block_size)]
+            if len(configs) > 1 or (widths and not dims.size) else None)
+    if widths:
+        quantile = _quantile_books(widths, arr, configs[0], None if dims.size else held)
     for config, config_sums in zip(configs, sums or [None] * len(configs)):
         is_quantile = config.kind is CodebookKind.QUANTILE
         book = codebook or (quantile[config.bits] if is_quantile else codebook_for(arr, config))
-        if held is not None:
-            slabs = zip(_kept_values(arr, dims, block_size), held)
-        packed, absmax16, means16 = _encode_blocks(slabs, n, book, config, config_sums)
+        packed, absmax16, means16 = _encode_blocks(arr, dims, n, book, config, held, config_sums)
         if config_sums is not None:
             config_sums.end_tensor(outliers, rows, len(book))
         yield QuantizedTensor(
@@ -489,7 +470,7 @@ def _fixed_codebook(kind: CodebookKind, bits: int, exponent_bits: int | None) ->
     if kind is CodebookKind.INT:
         return build_int_codebook(bits)
     if kind is CodebookKind.FLOAT:
-        e = exponent_bits or default_exponent_bits(bits)
+        e = default_exponent_bits(bits) if exponent_bits is None else exponent_bits
         return build_float_codebook(FloatSpec(bits, e))
     if kind is CodebookKind.DYNAMIC:
         return build_dynamic_codebook(DynamicSpec(bits))
@@ -506,15 +487,19 @@ def codebook_for(t, config: QuantConfig) -> Codebook:
     """
     if config.kind is not CodebookKind.QUANTILE:
         return _fixed_codebook(config.kind, config.bits, config.exponent_bits)
-    arr = _check_input(t)
-    slabs = _normalized_slabs(arr, (), config.block_size or arr.size, config.centered)
-    return _quantile_books([config.bits], (norm for _, norm in slabs), arr.size)[config.bits]
+    return _quantile_books([config.bits], _check_input(t), config)[config.bits]
 
 
-def _quantile_books(widths, normalized, n: int) -> dict[int, Codebook]:
-    """Quantile codebook of each width from n values in normalized slabs, sorted once."""
-    sample, pos = np.empty(n), 0
-    for values, *_ in normalized:
+def _quantile_books(widths, arr, config: QuantConfig, held=None) -> dict[int, Codebook]:
+    """Quantile codebook of each width from all of arr's rows normalized under config.
+
+    The values are sorted once. held, the normalized slabs of all rows, saves normalizing.
+    """
+    block_size = config.block_size or arr.size
+    slabs = held if held is not None else (_normalize(x, block_size, config.centered)
+                                           for *_, x in _kept_values(arr, (), block_size))
+    sample, pos = np.empty(arr.size), 0
+    for values, *_ in slabs:
         sample[pos : pos + values.size] = values
         pos += values.size
     sample.sort()
@@ -523,8 +508,8 @@ def _quantile_books(widths, normalized, n: int) -> dict[int, Codebook]:
     return {k: build_quantile_codebook(QuantileSpec(k, sample)) for k in widths}
 
 
-def _decoded_slabs(q: QuantizedTensor, codebook: Codebook | None = None):
-    """Check q as dequantize_tensor does; yield (codes, values) of each decoded slab."""
+def _checked_codes(q: QuantizedTensor, codebook: Codebook | None = None):
+    """Check q as dequantize_tensor does; return (codebook, codes), codes unpacked."""
     q.validate()
     if codebook is None:
         codebook = reconstruct_codebook(q)
@@ -535,13 +520,7 @@ def _decoded_slabs(q: QuantizedTensor, codebook: Codebook | None = None):
         raise CorruptDataError(
             f"index {int(indices.max())} out of range for {len(codebook)}-code codebook"
         )
-
-    def decode():
-        for lo, hi, blocks in _slabs(q.n_quantized, q.block_size):
-            means16 = None if q.means is None else q.means[blocks]
-            codes = indices[lo:hi]
-            yield codes, _decode(codebook, codes, q.absmax[blocks], means16, q.block_size)
-    return decode()
+    return codebook, indices
 
 
 def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None,
@@ -553,9 +532,10 @@ def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None,
     codebook is passed it is reconstructed from the tensor itself; one
     passed in must equal it (see _check_codebook_config).
     """
-    slabs = _decoded_slabs(q, codebook)  # checks q before its shape sizes anything
+    codebook, indices = _checked_codes(q, codebook)  # checks q before its shape sizes anything
     out = np.empty(q.shape, dtype=dtype)
-    for (*_, pieces), (_, values) in zip(_kept_slabs(out, q.outlier_dims, q.block_size), slabs):
+    for lo, hi, blocks, pieces in _kept_slabs(out, q.outlier_dims, q.block_size):
+        values = _decode(codebook, indices[lo:hi], q.absmax, q.means, blocks, q.block_size)
         for piece in pieces:
             piece[...] = values[: piece.size]
             values = values[piece.size :]

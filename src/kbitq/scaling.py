@@ -197,36 +197,40 @@ CSV_COLUMNS = ("family", "n_params", "precision_bits", "total_bits", "metric_kin
 
 def read_records_csv(path) -> list[ScalingRecord]:
     """Parse scaling records from CSV with a mandatory header row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected header {','.join(CSV_COLUMNS)}")
-        if [h.strip() for h in header] != list(CSV_COLUMNS):
-            raise ParseError(
-                f"{path}: line 1: expected header {','.join(CSV_COLUMNS)}, got {','.join(header)}"
-            )
-        records = []
-        bad_lines = []
-        for row in reader:
-            if not row:
-                continue
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                records.append(
-                    ScalingRecord(
-                        family=row[0].strip(),
-                        n_params=int(row[1]),
-                        precision_bits=float(row[2]),
-                        total_bits=float(row[3]),
-                        metric_kind=MetricKind(row[4].strip()),
-                        value=float(row[5]),
-                    )
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file, expected header {','.join(CSV_COLUMNS)}")
+            if [h.strip() for h in header] != list(CSV_COLUMNS):
+                raise ParseError(
+                    f"{path}: line 1: expected header {','.join(CSV_COLUMNS)}, "
+                    f"got {','.join(header)}"
                 )
-            except (IndexError, ValueError, InvalidSpecError) as exc:
-                bad_lines.append(f"line {reader.line_num}: {exc}")
-        if bad_lines:
-            raise ParseError(f"{path}: " + "; ".join(bad_lines))
+            records = []
+            bad_lines = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    records.append(
+                        ScalingRecord(
+                            family=row[0].strip(),
+                            n_params=int(row[1]),
+                            precision_bits=float(row[2]),
+                            total_bits=float(row[3]),
+                            metric_kind=MetricKind(row[4].strip()),
+                            value=float(row[5]),
+                        )
+                    )
+                except (IndexError, ValueError, InvalidSpecError) as exc:
+                    bad_lines.append(f"line {reader.line_num}: {exc}")
+            if bad_lines:
+                raise ParseError(f"{path}: " + "; ".join(bad_lines))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     return records
 
 

@@ -524,3 +524,57 @@ class TestStdoutDiscipline:
                                  tmp_path / "o.st")
         assert code == 1
         assert out == "" and err != ""
+
+
+class TestExponentBitsContract:
+    """A float exponent width outside [1, bits) is a usage error on the command line, a format
+    error in a KBQ file; only None means the default width."""
+
+    @pytest.mark.parametrize("e", [0, 5, -1])
+    def test_flag_outside_range_is_usage_error(self, capsys, tmp_path, e):
+        code, out, err = run_cli(capsys, "quantize", tmp_path / "t.kbq", "--synthetic",
+                                 "gaussian", "--shape", 96, "--dtype", "float", "--bits", 5,
+                                 "--exponent-bits", e)
+        assert code == 2 and out == "" and "exponent_bits" in err
+        assert not (tmp_path / "t.kbq").exists()
+        code, out, err = run_cli(capsys, "codebook", "--kind", "float", "--bits", 5,
+                                 "--exponent-bits", e)
+        assert code == 2 and out == "" and err.startswith("kbitq codebook: ")
+
+    @pytest.mark.parametrize("e", [9, -1, 2.5, "uint", 0])
+    @pytest.mark.parametrize("command", ["dequantize", "inspect"])
+    def test_file_value_outside_range_is_format_error(self, capsys, tmp_path, command, e):
+        path, original = tmp_path / "f.kbq", tmp_path / "x.st"
+        write_container(original, {"synthetic_0": np.linspace(-1, 1, 96, dtype=np.float32)})
+        assert run_cli(capsys, "quantize", original, path, "--dtype", "float", "--bits", 5,
+                       "--exponent-bits", 2)[0] == 0
+
+        def edit(manifest):  # 0 for false and for 0.0 leaves room for the longer value
+            entry = manifest["tensors"]["synthetic_0"]
+            entry.update(centered=0, outlier_fraction=0)
+            entry["dtype"]["exponent_bits"] = e
+            return manifest
+
+        rewrite_manifest(path, edit)
+        argv = [path, tmp_path / "o.st"] if command == "dequantize" else [path, "--against",
+                                                                          original]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 3 and out == "" and "exponent_bits" in err
+
+
+class TestBadGridAndRecords:
+    @pytest.mark.parametrize("centered, bad", [("2", "2"), ("-1", "-1"), ("0,2", "2")])
+    def test_sweep_centered_other_than_0_or_1(self, capsys, centered, bad):
+        code, out, err = run_cli(capsys, "sweep", "--synthetic", "gaussian", "--shape", "8x8",
+                                 "--centered", centered)
+        assert code == 2 and out == ""
+        assert err.startswith("kbitq sweep: ") and err.split()[-1] == bad
+
+    @pytest.mark.parametrize("valid_rows", [0, 2000], ids=["in-header", "after-first-read"])
+    def test_scaling_fit_non_utf8_is_format_error(self, capsys, tmp_path, valid_rows):
+        path = tmp_path / "r.csv"
+        rows = "synth,262144,4,1048576,accuracy,0.4\n" * valid_rows
+        path.write_bytes(HEADER.encode()[:-1] + b"\xff\n" if not valid_rows
+                         else (HEADER + rows).encode() + b"synth\xff,1,4,4,accuracy,0.5\n")
+        code, out, err = run_cli(capsys, "scaling-fit", path)
+        assert code == 3 and out == "" and str(path) in err and "UTF-8" in err

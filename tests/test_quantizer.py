@@ -1,5 +1,7 @@
 """Quantize/dequantize round trips, nearest-code lookup, and bit packing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -562,3 +564,52 @@ class TestSharedNormalization:
         assert not book.values.flags.writeable
         with pytest.raises(ValueError):
             book.values[0] = 0.0
+
+
+class TestFloatExponentBits:
+    @pytest.mark.parametrize("e", [0, -1, 5, 2.5, 2.0, "2", "uint"])
+    def test_outside_one_to_bits_rejected(self, e):
+        with pytest.raises(InvalidSpecError):
+            QuantConfig(kind="float", bits=5, exponent_bits=e)
+
+    @pytest.mark.parametrize("e", [1, 4, np.int64(3)])
+    def test_integer_in_range_accepted(self, e):
+        config = QuantConfig(kind="float", bits=5, exponent_bits=e)
+        book = codebook_for(np.ones(3), config)
+        assert np.array_equal(book.values, build_float_codebook(FloatSpec(5, int(e))).values)
+
+
+class TestQuantizedTensorEquality:
+    """Each field takes part: arrays by dtype, shape and values, the rest by ==."""
+
+    @pytest.fixture
+    def q(self):
+        x = rng(91).standard_normal((12, 8))
+        config = QuantConfig(kind="quantile", bits=3, block_size=16, centered=True,
+                             outlier_fraction=0.2)
+        return quantize_mixed(x, [2, 7], codebook_for(x, config), config)
+
+    def test_field_by_field_copy_is_equal(self, q):
+        assert dataclasses.replace(q) == q
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [("absmax", lambda a: a.astype(np.float32)),
+         ("codebook_values", lambda a: a.astype(np.float32)),
+         ("outlier_rows", lambda a: a.reshape(-1)),
+         ("outlier_dims", lambda a: a.reshape(1, -1)),
+         ("means", lambda a: None),
+         ("packed_indices", lambda b: bytes([b[0] ^ 1]) + b[1:]),
+         ("config", lambda c: dataclasses.replace(c, outlier_fraction=0.25)),
+         ("shape", lambda s: (s[0] * 2, s[1] // 2))],
+        ids=["absmax-dtype", "codebook-dtype", "rows-shape", "dims-shape", "means-none",
+             "packed-indices", "config", "shape"],
+    )
+    def test_one_changed_field_is_unequal(self, q, field, change):
+        other = dataclasses.replace(q, **{field: change(getattr(q, field))})
+        assert other != q and q != other
+        assert not other == q and not q == other
+
+    def test_non_quantized_tensor_operand(self, q):
+        assert q.__eq__(q.packed_indices) is NotImplemented
+        assert q != q.packed_indices and q != None and q != vars(q)  # noqa: E711

@@ -10,8 +10,8 @@ revision, each revision in a fresh interpreter that imports its own
 for every codebook kind, a few widths and block sizes, centering and
 outlier rows; a chained F16 pair wider than one slab; a 0-d tensor and a
 container with no tensors; sweep grids (a 144-config one among them);
-`codebook`; and the usage and runtime errors. The inputs are written by this script, not
-by kbitq, so both revisions read the same bytes.
+`codebook`; `scaling-fit`; and the usage, runtime and format errors. The inputs are written
+by this script, not by kbitq, so both revisions read the same bytes.
 
 Exit codes, stdout, stderr and every file a case writes are compared byte
 for byte. The summary goes to stdout; the exit status is 0 when every call
@@ -70,6 +70,11 @@ def write_inputs(root: Path) -> None:
     _write_container(root / "empty.st", {})
     _write_container(root / "zeros.st", {"w": np.zeros((16, 16), "<f4")})
     _write_container(root / "big.st", {"w": (gen.standard_normal((64, 64)) * 1e6).astype("<f4")})
+    records = ["family,n_params,precision_bits,total_bits,metric_kind,value"]
+    records += [f"synth,{2**x // 4},{p},{2**x},accuracy,{0.01 * x + p / 100}"
+                for p in (3.0, 4.0, 16.0) for x in (20, 23, 26)]
+    (root / "records.csv").write_text("\n".join(records) + "\n")
+    (root / "latin1.csv").write_bytes("\n".join(records[:2]).encode() + b"\xff\n")
 
 
 def _write_container(path: Path, tensors: dict[str, np.ndarray]) -> None:
@@ -137,6 +142,12 @@ def battery() -> list[list[list[str]]]:
          ["sweep", chain, "--centered", "x"], ["quantize", "t.kbq", "--synthetic", "gaussian",
                                                "--block-size", "0"]],
         [["dequantize", "missing.kbq", "d.st"], ["inspect", chain]],
+        [["scaling-fit", "../inputs/records.csv", "--budgets", "4194304,33554432"]],
+        # a float width outside [1, bits), a centering flag other than 0/1, non-UTF-8 records
+        [["quantize", "t.kbq", "--synthetic", "gaussian", "--shape", "96", "--dtype", "float",
+          "--exponent-bits", "0", "--bits", "5"],
+         ["codebook", "--kind", "float", "--bits", "5", "--exponent-bits", "0"],
+         ["sweep", chain, "--centered", "2"], ["scaling-fit", "../inputs/latin1.csv"]],
     ]
     return cases
 
