@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,23 +45,24 @@ def _parse_shapes(text: str) -> list[tuple[int, ...]]:
 
 
 def _parse_block_size(text: str):
+    """A block size or None for 'whole'; argparse prints an ArgumentTypeError's reason."""
     if text.lower() in ("whole", "none"):
         return None
     try:
         value = int(text)
     except ValueError:
-        raise InvalidSpecError(f"bad block size {text!r}; use an integer or 'whole'")
+        raise argparse.ArgumentTypeError(f"bad block size {text!r}; use an integer or 'whole'")
     if value < 1:
-        raise InvalidSpecError("block size must be >= 1")
+        raise argparse.ArgumentTypeError("block size must be >= 1")
     return value
 
 
-def _load_input(args) -> dict[str, np.ndarray]:
-    """Tensors from a container file (read-only views of its F32/F16 data) or the generator."""
-    if args.input is not None and args.synthetic is not None:
+def _load_input(paths, args) -> dict[str, np.ndarray]:
+    """Tensors of the container in paths (read-only views of its F32/F16 data) or the generator."""
+    if paths and args.synthetic is not None:
         raise InvalidSpecError("give either an input container or --synthetic, not both")
-    if args.input is not None:
-        return dict(store.read_container(args.input).items())
+    if paths:
+        return dict(store.read_container(paths[0]).items())
     if args.synthetic is not None:
         shapes = _parse_shapes(args.shape)
         return {
@@ -80,19 +82,15 @@ def _detect_outliers(tensors: dict[str, np.ndarray], p: float) -> dict[str, np.n
     dims = {name: np.zeros(0, dtype=np.int32) for name in tensors}
     if p <= 0:
         return dims
-    names = [n for n, a in tensors.items() if a.ndim == 2]
-    i = 0
-    while i < len(names):
-        chain = [names[i]]
-        while (
-            i + len(chain) < len(names)
-            and tensors[chain[-1]].shape[1] == tensors[names[i + len(chain)]].shape[0]
-        ):
-            chain.append(names[i + len(chain)])
+    chains: list[list[str]] = []
+    for name, arr in tensors.items():
+        if arr.ndim == 2 and chains and tensors[chains[-1][-1]].shape[1] == arr.shape[0]:
+            chains[-1].append(name)
+        elif arr.ndim == 2:
+            chains.append([name])
+    for chain in chains:
         detected = outliers.detect_outlier_dims([tensors[n] for n in chain], p)
-        for name, idx in zip(chain, detected.per_layer):
-            dims[name] = idx
-        i += len(chain)
+        dims.update(zip(chain, detected.per_layer))
     return dims
 
 
@@ -103,9 +101,8 @@ def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig,
     for name, arr in tensors.items():
         dims = outlier_dims[name]
         scored = None if sums is None else sums.setdefault(name, accounting.ErrorSums())
-        if dims.size and arr.ndim == 2:
-            codebook = quantizer.codebook_for(arr, config)
-            result[name] = outliers.quantize_mixed(arr, dims, codebook, config, scored)
+        if dims.size:  # only 2-D tensors get outlier rows
+            result[name] = outliers.quantize_mixed(arr, dims, None, config, scored)
         else:
             result[name] = quantizer.quantize_tensor(arr, None, config, scored)
     return result
@@ -139,13 +136,10 @@ def _tensor_summary(q, sums):
 
 
 def cmd_quantize(args) -> int:
-    if len(args.paths) == 2:
-        args.input, output = args.paths
-    elif len(args.paths) == 1 and args.synthetic is not None:
-        args.input, output = None, args.paths[0]
-    else:
+    *source, output = args.paths
+    if len(source) > 1 or (not source and args.synthetic is None):
         raise InvalidSpecError("expected INPUT OUTPUT, or OUTPUT with --synthetic")
-    tensors = _load_input(args)
+    tensors = _load_input(source, args)
     config = _config_from_args(args)
     sums: dict[str, accounting.ErrorSums] = {}
     quantized = _quantize_all(tensors, config, sums)
@@ -232,15 +226,11 @@ def _csv_cell(value) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if args.paths:
-        if len(args.paths) > 1:
-            raise InvalidSpecError("sweep takes at most one input container")
-        args.input = args.paths[0]
-    else:
-        args.input = None
-    tensors = _load_input(args)
-    if not tensors:
-        raise EmptyInputError(f"{args.input}: the container holds no tensors")
+    if len(args.paths) > 1:
+        raise InvalidSpecError("sweep takes at most one input container")
+    tensors = _load_input(args.paths, args)
+    if not tensors:  # only a container can hold none
+        raise EmptyInputError(f"{args.paths[0]}: the container holds no tensors")
     # every config reads every tensor: cast each to float64 once, not once per slab per config
     tensors = {name: np.asarray(arr, dtype=np.float64) for name, arr in tensors.items()}
 
@@ -256,8 +246,10 @@ def cmd_sweep(args) -> int:
             raise InvalidSpecError(f"bad grid value: centered is 0 or 1, not {min(flags - {0, 1})}")
         centered = sorted(map(bool, flags))
         fractions = sorted({float(p) for p in args.outlier_p.split(",") if p})
-    except InvalidSpecError:  # a block size or centering flag, already worded
+    except InvalidSpecError:  # a centering flag, already worded
         raise
+    except argparse.ArgumentTypeError as exc:  # a block size, already worded
+        raise InvalidSpecError(str(exc))
     except ValueError as exc:
         raise InvalidSpecError(f"bad grid value: {exc}")
     if not all((kinds, bits, blocks, centered, fractions)):
@@ -302,7 +294,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_scaling_fit(args) -> int:
     records = scaling.read_records_csv(args.records)
-    budgets = [float(b) for b in args.budgets.split(",")] if args.budgets else []
+    budgets = []
+    for item in filter(None, args.budgets.split(",")):
+        try:
+            budgets.append(float(item))
+        except ValueError:
+            budgets.append(math.nan)
+        if not 0 < budgets[-1] < math.inf:
+            raise InvalidSpecError(f"bad budget {item!r}; budgets are finite positive bit counts")
     _emit(scaling.scaling_report(records, budgets))
     return 0
 
@@ -342,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quant.add_argument("paths", nargs="+", metavar="[INPUT] OUTPUT")
     add_config_flags(p_quant)
     add_synth_flags(p_quant)
-    p_quant.set_defaults(func=cmd_quantize, input=None)
+    p_quant.set_defaults(func=cmd_quantize)
 
     p_dequant = sub.add_parser("dequantize", help="decode a KBQ file to a tensor container")
     p_dequant.add_argument("input")

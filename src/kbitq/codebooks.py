@@ -74,7 +74,10 @@ class Codebook:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64) + 0.0
+        vals = np.asarray(self.values, dtype=np.float64)
+        if not np.all(np.isfinite(vals)):  # before any arithmetic, which a NaN would signal
+            raise InvalidSpecError("codebook values must be finite")
+        vals = vals + 0.0
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         _check_bits(self.bits)

@@ -22,12 +22,7 @@ from .errors import (
     InvalidFractionError,
     InvalidIndexError,
 )
-from .quantizer import (
-    QuantConfig,
-    QuantizedTensor,
-    _check_codebook_config,
-    quantize_group,
-)
+from .quantizer import QuantConfig, QuantizedTensor, quantize_group
 
 
 class LayerChain:
@@ -97,19 +92,19 @@ def detect_outlier_dims(chain: LayerChain, p: float) -> OutlierSet:
     return OutlierSet(per_layer=tuple(per_layer), fraction=float(p))
 
 
-def quantize_mixed(W, J, codebook: Codebook, config: QuantConfig, sums=None) -> QuantizedTensor:
+def quantize_mixed(W, J, codebook: Codebook | None, config: QuantConfig,
+                   sums=None) -> QuantizedTensor:
     """Quantize a matrix with the input rows in J kept verbatim at 16-bit.
 
     Outlier rows are excluded from block statistics entirely, so a single
     large row cannot inflate any block constant. With J empty this reduces
-    to plain quantization. With sums (an ErrorSums) the matrix is scored as
-    it is encoded (see quantize_group).
+    to plain quantization. codebook None is the config's own, as in
+    quantize_tensor. With sums (an ErrorSums) the matrix is scored as it is
+    encoded (see quantize_group).
     """
     arr = np.asarray(W)
     if arr.ndim != 2:
         raise DimensionError(f"mixed-precision quantization needs a 2-D matrix, got {arr.shape}")
-    _check_codebook_config(codebook, config)
-
     dims = np.unique(np.asarray(J, dtype=np.int64)).astype(np.int32)
     if dims.size and (dims[0] < 0 or dims[-1] >= arr.shape[0]):
         raise InvalidIndexError(

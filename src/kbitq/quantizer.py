@@ -413,8 +413,6 @@ def quantize_tensor(t, codebook: Codebook | None, config: QuantConfig,
     normalized values the lookup reuses, where codebook_for's are normalized anew.
     With sums (an ErrorSums) the tensor is scored as it is encoded (see quantize_group).
     """
-    if codebook is not None:
-        _check_codebook_config(codebook, config)
     return next(quantize_group(t, np.zeros(0, dtype=np.int32), [config], codebook, [sums]))
 
 
@@ -424,9 +422,12 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     The configs share block size and centering, so the kept rows are normalized once,
     and held only when more than one pass reads them. Without a codebook each config
     takes its own; every quantile width comes from one sort of codebook_for's sample.
+    A codebook given must be the one every config calls for (InvalidSpecError otherwise).
     sums holds an ErrorSums per config: each slab is scored as it is encoded, the
     outlier rows last, and the ErrorSums' code_use is set before q is yielded.
     """
+    for config in configs if codebook is not None else ():
+        _check_codebook_config(codebook, config)
     arr = _check_input(t)
     outliers = arr[dims] if dims.size else np.zeros(0)
     rows = _stored16(outliers, "outlier value").reshape(dims.size, -1 if dims.size else 0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import os
 import struct
 
@@ -86,12 +87,12 @@ def read_container(path) -> TensorContainer:
     for name, entry in header.items():
         try:
             dtype, shape = entry["dtype"], entry["shape"]
-            begin, end = (int(v) for v in entry["data_offsets"])
+            begin, end = map(operator.index, entry["data_offsets"])  # ints only, no 2.5 or "4"
         except KeyError as exc:
             raise ParseError(f"{path}: tensor {name!r} is missing {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: tensor {name!r} entry is malformed: {exc}") from exc
-        if dtype not in _DTYPES:
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise ParseError(f"{path}: tensor {name!r} has unsupported dtype {dtype!r}")
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise ParseError(f"{path}: tensor {name!r} shape {shape!r} is not a list of sizes >= 0")
@@ -271,7 +272,7 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
                 codebook_values=sec("codebook", "f8") if quantile else None,
             )
             q.validate()
-        except (CorruptDataError, KeyError, TypeError, ValueError) as exc:
+        except (CorruptDataError, KeyError, TypeError, ValueError, OverflowError) as exc:
             what = "" if isinstance(exc, CorruptDataError) else "invalid manifest entry: "
             raise CorruptDataError(f"{path}: tensor {name!r}: {what}{exc}") from exc
         out[name] = q

@@ -578,3 +578,142 @@ class TestBadGridAndRecords:
                          else (HEADER + rows).encode() + b"synth\xff,1,4,4,accuracy,0.5\n")
         code, out, err = run_cli(capsys, "scaling-fit", path)
         assert code == 3 and out == "" and str(path) in err and "UTF-8" in err
+
+
+def assert_one_line_error(result, code, command):
+    """The exit code, no stdout, and one stderr line naming the command, with no traceback."""
+    assert result[0] == code and result[1] == ""
+    assert result[2].startswith(f"kbitq {command}: ") and result[2].count("\n") == 1
+
+
+class TestScalingFitBudgets:
+    """--budgets is parsed like the sweep's lists: empty items are skipped, and an item that is
+    not a finite positive number is a usage error naming it."""
+
+    @pytest.mark.parametrize("budgets, bad", [
+        ("x", "x"), ("8x8", "8x8"), ("nan", "nan"), ("0", "0"), ("-5", "-5"), ("inf", "inf"),
+        ("4194304,y", "y"),
+    ])
+    def test_bad_item_is_usage_error(self, capsys, planted_csv, budgets, bad):
+        result = run_cli(capsys, "scaling-fit", planted_csv, "--budgets", budgets)
+        assert_one_line_error(result, 2, "scaling-fit")
+        assert repr(bad) in result[2]
+
+    @pytest.mark.parametrize("budgets, count", [(",", 0), (f"{2**22},,{2**25},", 2)])
+    def test_empty_items_are_skipped(self, capsys, planted_csv, budgets, count):
+        code, out, _ = run_cli(capsys, "scaling-fit", planted_csv, "--budgets", budgets)
+        assert code == 0 and len(json.loads(out)["pareto"]) == count
+
+    def test_budget_outside_every_fitted_range_is_runtime_error(self, capsys, planted_csv):
+        result = run_cli(capsys, "scaling-fit", planted_csv, "--budgets", "1")
+        assert_one_line_error(result, 1, "scaling-fit")
+
+
+class TestBlockSizeReason:
+    @pytest.mark.parametrize("block, reason", [
+        ("0", "block size must be >= 1"), ("x", "bad block size 'x'; use an integer or 'whole'"),
+    ])
+    def test_quantize_names_the_reason(self, capsys, tmp_path, block, reason):
+        code, out, err = run_cli(capsys, "quantize", tmp_path / "t.kbq", "--synthetic",
+                                 "gaussian", "--block-size", block)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"kbitq quantize: error: argument --block-size: {reason}"
+
+
+class TestInputRouting:
+    """Which paths and --synthetic a command takes; each misuse is a one-line usage error."""
+
+    @pytest.fixture
+    def container(self, tmp_path):
+        path = tmp_path / "x.st"
+        write_container(path, {"w": np.linspace(-1, 1, 64, dtype=np.float32).reshape(8, 8)})
+        return path
+
+    @pytest.mark.parametrize("argv, command", [
+        (["quantize", "{out}", "--synthetic", "gaussian", "--shape", "4x"], "quantize"),
+        (["quantize", "{out}", "--synthetic", "gaussian", "--shape", "0x4"], "quantize"),
+        (["quantize", "{src}", "{out}", "--synthetic", "gaussian"], "quantize"),
+        (["quantize", "{out}"], "quantize"),
+        (["quantize", "{src}", "{src}", "{out}"], "quantize"),
+        (["sweep", "{src}", "{src}"], "sweep"),
+        (["sweep"], "sweep"),
+        (["sweep", "{src}", "--synthetic", "gaussian"], "sweep"),
+        (["sweep", "{src}", "--bits", "x"], "sweep"),
+    ], ids=["shape-4x", "shape-0x4", "input-and-synthetic", "no-input", "three-paths",
+            "sweep-two-inputs", "sweep-no-input", "sweep-input-and-synthetic", "sweep-bits-x"])
+    def test_misuse_is_usage_error(self, capsys, tmp_path, container, argv, command):
+        argv = [a.format(src=container, out=tmp_path / "t.kbq") for a in argv]
+        assert_one_line_error(run_cli(capsys, *argv), 2, command)
+        assert not (tmp_path / "t.kbq").exists()
+
+    def test_container_and_synthetic_inputs(self, capsys, tmp_path, container):
+        assert run_cli(capsys, "quantize", container, tmp_path / "a.kbq")[0] == 0
+        assert list(read_kbq(tmp_path / "a.kbq")) == ["w"]
+        assert run_cli(capsys, "sweep", container)[0] == 0
+        assert run_cli(capsys, "sweep", "--synthetic", "gaussian", "--shape", "8x8")[0] == 0
+
+
+class TestUnreachedExitPaths:
+    """Malformed containers and KBQ files exit 3, a shape mismatch exits 1: one stderr line."""
+
+    @pytest.fixture
+    def kbq(self, capsys, tmp_path):
+        path = tmp_path / "m.kbq"
+        assert run_cli(capsys, "quantize", path, "--synthetic", "gaussian", "--shape", "16x16",
+                       "--block-size", 64)[0] == 0
+        return path
+
+    def test_against_tensor_of_another_shape(self, capsys, tmp_path, kbq):
+        write_container(tmp_path / "o.st", {"synthetic_0": np.zeros((8, 32), np.float32)})
+        result = run_cli(capsys, "inspect", kbq, "--against", tmp_path / "o.st")
+        assert_one_line_error(result, 1, "inspect")
+        assert "shape mismatch" in result[2]
+
+    @pytest.mark.parametrize("header, needle", [
+        (None, "too short"),
+        ([], "must be a JSON object"),
+        ({"w": {"dtype": "F32", "shape": [1]}}, "missing 'data_offsets'"),
+        ({"w": {"dtype": "F32", "shape": [1], "data_offsets": ["a", 4]}}, "malformed"),
+        ({"w": {"dtype": "F32", "shape": [1], "data_offsets": None}}, "malformed"),
+    ], ids=["shorter-than-8-bytes", "header-not-object", "no-data-offsets", "offset-not-int",
+            "offsets-null"])
+    def test_malformed_container(self, capsys, tmp_path, header, needle):
+        encoded = json.dumps(header).encode()
+        blob = b"\x02\x00\x00" if header is None else struct.pack("<Q", len(encoded)) + encoded
+        (tmp_path / "bad.st").write_bytes(blob + (b"" if header is None else bytes(4)))
+        result = run_cli(capsys, "quantize", tmp_path / "bad.st", tmp_path / "t.kbq")
+        assert_one_line_error(result, 3, "quantize")
+        assert needle in result[2]
+
+    @pytest.mark.parametrize("variant, needle", [
+        ("no-manifest-length", "missing manifest length"),
+        ("manifest-past-end", "manifest overruns file"),
+        ("manifest-not-json", "not valid JSON"),
+        ("version-2", "unsupported version 2"),
+        ("missing-section", "missing section 'absmax'"),
+        ("negative-shape", "negative size"),
+    ])
+    def test_malformed_kbq(self, capsys, tmp_path, kbq, variant, needle):
+        blob = kbq.read_bytes()
+        (length,) = struct.unpack("<I", blob[4:8])
+        manifest = json.loads(blob[8 : 8 + length])
+        entry = manifest["tensors"]["synthetic_0"]
+        edits = {
+            "version-2": lambda: manifest.update(version=2),
+            "missing-section": lambda: entry["sections"].pop("absmax"),
+            "negative-shape": lambda: entry.update(shape=[-1, 16]),
+        }
+        if variant in edits:
+            edits[variant]()
+            encoded = json.dumps(manifest, separators=(",", ":")).encode()
+            blob = blob[:8] + encoded.ljust(length) + blob[8 + length :]
+        else:
+            blob = {
+                "no-manifest-length": b"KBQ1\x01",
+                "manifest-past-end": blob[:4] + struct.pack("<I", len(blob)) + blob[8:],
+                "manifest-not-json": blob[:8] + b"{not json".ljust(length) + blob[8 + length :],
+            }[variant]
+        kbq.write_bytes(blob)
+        result = run_cli(capsys, "dequantize", kbq, tmp_path / "d.st")
+        assert_one_line_error(result, 3, "dequantize")
+        assert needle in result[2] and not (tmp_path / "d.st").exists()

@@ -6,17 +6,22 @@ import pytest
 from kbitq import (
     LayerChain,
     QuantConfig,
+    build_float_codebook,
     build_int_codebook,
+    codebook_for,
     dequantize_tensor,
     detect_outlier_dims,
     quantize_mixed,
     quantize_tensor,
 )
+from kbitq.accounting import ErrorSums
+from kbitq.codebooks import FloatSpec
 from kbitq.errors import (
     DimensionError,
     EmptyInputError,
     InvalidFractionError,
     InvalidIndexError,
+    InvalidSpecError,
 )
 from kbitq.quantizer import to_float16
 
@@ -162,3 +167,32 @@ class TestQuantizeMixed:
     def test_needs_a_matrix(self):
         with pytest.raises(DimensionError):
             quantize_mixed(np.ones(10), [0], self.book, self.config)
+
+
+class TestCodebookChoice:
+    """codebook None is the config's own book: quantize_mixed chooses it as codebook_for does."""
+
+    @pytest.mark.parametrize("block", [32, None])
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("kind", ["int", "float", "dynamic", "quantile"])
+    def test_none_equals_codebook_for(self, kind, centered, block):
+        w = rng(12).standard_normal((64, 48))
+        dims = np.array([5, 20, 21])
+        w[dims] *= 30.0
+        config = QuantConfig(kind=kind, bits=4, block_size=block, centered=centered,
+                             outlier_fraction=0.05)
+        chosen, given = ErrorSums(), ErrorSums()
+        q = quantize_mixed(w, dims, None, config, chosen)
+        assert q == quantize_mixed(w, dims, codebook_for(w, config), config, given)
+        assert vars(chosen) == vars(given) and chosen.code_use is not None
+
+    @pytest.mark.parametrize("book", [build_int_codebook(3), build_int_codebook(4),
+                                      build_float_codebook(FloatSpec(4, 3))],
+                             ids=["other-width", "other-kind", "other-exponent"])
+    def test_mismatched_codebook_rejected(self, book):
+        w = rng(13).standard_normal((16, 8))
+        config = QuantConfig(kind="float", bits=4, block_size=32)
+        with pytest.raises(InvalidSpecError):
+            quantize_tensor(w, book, config)
+        with pytest.raises(InvalidSpecError):
+            quantize_mixed(w, [2], book, config)

@@ -148,6 +148,13 @@ def battery() -> list[list[list[str]]]:
           "--exponent-bits", "0", "--bits", "5"],
          ["codebook", "--kind", "float", "--bits", "5", "--exponent-bits", "0"],
          ["sweep", chain, "--centered", "2"], ["scaling-fit", "../inputs/latin1.csv"]],
+        # input routing: one path without --synthetic, three paths, an input and --synthetic
+        [["quantize", "t.kbq"], ["quantize", chain, chain, "t.kbq"],
+         ["quantize", chain, "t.kbq", "--synthetic", "gaussian"], ["sweep", chain, chain],
+         ["sweep"], ["sweep", chain, "--synthetic", "gaussian"]],
+        # budgets that are not finite positive numbers, and a list of empty items
+        [["scaling-fit", "../inputs/records.csv", "--budgets", budgets]
+         for budgets in ("x", "nan", "-5", ",")],
     ]
     return cases
 
