@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -675,8 +677,10 @@ class TestUnreachedExitPaths:
         ({"w": {"dtype": "F32", "shape": [1]}}, "missing 'data_offsets'"),
         ({"w": {"dtype": "F32", "shape": [1], "data_offsets": ["a", 4]}}, "malformed"),
         ({"w": {"dtype": "F32", "shape": [1], "data_offsets": None}}, "malformed"),
+        ({"w": {"dtype": "F32", "shape": [1], "data_offsets": [0.0, 4]}}, "malformed"),
+        ({"w": {"dtype": ["F32"], "shape": [1], "data_offsets": [0, 4]}}, "unsupported dtype"),
     ], ids=["shorter-than-8-bytes", "header-not-object", "no-data-offsets", "offset-not-int",
-            "offsets-null"])
+            "offsets-null", "offset-float", "dtype-list"])
     def test_malformed_container(self, capsys, tmp_path, header, needle):
         encoded = json.dumps(header).encode()
         blob = b"\x02\x00\x00" if header is None else struct.pack("<Q", len(encoded)) + encoded
@@ -692,6 +696,7 @@ class TestUnreachedExitPaths:
         ("version-2", "unsupported version 2"),
         ("missing-section", "missing section 'absmax'"),
         ("negative-shape", "negative size"),
+        ("infinite-shape", "cannot convert float infinity"),
     ])
     def test_malformed_kbq(self, capsys, tmp_path, kbq, variant, needle):
         blob = kbq.read_bytes()
@@ -702,10 +707,14 @@ class TestUnreachedExitPaths:
             "version-2": lambda: manifest.update(version=2),
             "missing-section": lambda: entry["sections"].pop("absmax"),
             "negative-shape": lambda: entry.update(shape=[-1, 16]),
+            # 0 for false and 0.0 leaves room for Infinity
+            "infinite-shape": lambda: entry.update(shape=[math.inf, 16], centered=0,
+                                                   outlier_fraction=0),
         }
         if variant in edits:
             edits[variant]()
             encoded = json.dumps(manifest, separators=(",", ":")).encode()
+            assert len(encoded) <= length
             blob = blob[:8] + encoded.ljust(length) + blob[8 + length :]
         else:
             blob = {
@@ -717,3 +726,15 @@ class TestUnreachedExitPaths:
         result = run_cli(capsys, "dequantize", kbq, tmp_path / "d.st")
         assert_one_line_error(result, 3, "dequantize")
         assert needle in result[2] and not (tmp_path / "d.st").exists()
+
+    def test_non_finite_codebook_value(self, capsys, tmp_path):
+        path = tmp_path / "q.kbq"
+        assert run_cli(capsys, "quantize", path, "--synthetic", "gaussian", "--shape", "32x32",
+                       "--dtype", "quantile")[0] == 0
+        nan = np.array([0x7FF0_0000_0000_0001], "<u8").tobytes()  # a signaling NaN
+        edit_section(path, "synthetic_0", "codebook", lambda raw: nan + raw[8:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # arithmetic on the NaN would warn
+            result = run_cli(capsys, "dequantize", path, tmp_path / "d.st")
+        assert_one_line_error(result, 3, "dequantize")
+        assert "finite" in result[2]
