@@ -15,14 +15,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, Phase, given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from kbitq import cli, read_kbq, write_container  # noqa: E402
 
-# no explain phase: it imports modules that warn, which -W error turns into a crash
 FUZZ = settings(derandomize=True, database=None, deadline=None,
-                phases=[Phase.explicit, Phase.generate, Phase.shrink],
                 suppress_health_check=[HealthCheck.too_slow])
 
 RECORDS = "family,n_params,precision_bits,total_bits,metric_kind,value\n" + "".join(
