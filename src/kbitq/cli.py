@@ -299,7 +299,7 @@ def cmd_scaling_fit(args) -> int:
         try:
             budgets.append(float(item))
         except ValueError:
-            budgets.append(math.nan)
+            budgets.append(math.nan)  # refused below, naming the item
         if not 0 < budgets[-1] < math.inf:
             raise InvalidSpecError(f"bad budget {item!r}; budgets are finite positive bit counts")
     _emit(scaling.scaling_report(records, budgets))
