@@ -648,12 +648,6 @@ class TestInputRouting:
         assert_one_line_error(run_cli(capsys, *argv), 2, command)
         assert not (tmp_path / "t.kbq").exists()
 
-    def test_container_and_synthetic_inputs(self, capsys, tmp_path, container):
-        assert run_cli(capsys, "quantize", container, tmp_path / "a.kbq")[0] == 0
-        assert list(read_kbq(tmp_path / "a.kbq")) == ["w"]
-        assert run_cli(capsys, "sweep", container)[0] == 0
-        assert run_cli(capsys, "sweep", "--synthetic", "gaussian", "--shape", "8x8")[0] == 0
-
 
 class TestUnreachedExitPaths:
     """Malformed containers and KBQ files exit 3, a shape mismatch exits 1: one stderr line."""
