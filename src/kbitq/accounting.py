@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionError, EmptyInputError, UndefinedCorrelationError
-from .quantizer import QuantConfig, QuantizedTensor, block_count, reconstruct_codebook
+from .quantizer import QuantConfig, QuantizedTensor, block_count
 from .quantizer import _checked_codes, _decode, _kept_values
 
 
@@ -207,9 +207,9 @@ def error_metrics(original, dequantized, q: QuantizedTensor) -> ErrorReport:
 
 
 def code_use(q: QuantizedTensor) -> tuple[int, int]:
-    """(codes used by at least one element, codes in the tensor's codebook)."""
-    n_codes = len(reconstruct_codebook(q))
-    return int(np.count_nonzero(np.bincount(q.indices(), minlength=n_codes))), n_codes
+    """(codes used by at least one element, codes in its codebook), checked as the decoder does."""
+    codebook, codes = _checked_codes(q)
+    return int(np.count_nonzero(np.bincount(codes, minlength=len(codebook)))), len(codebook)
 
 
 def pearson_correlation(x, y) -> float:

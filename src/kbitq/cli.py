@@ -72,14 +72,14 @@ def _load_input(paths, args) -> dict[str, np.ndarray]:
     raise InvalidSpecError("no input: give a container path or --synthetic")
 
 
-def _detect_outliers(tensors: dict[str, np.ndarray], p: float) -> dict[str, np.ndarray]:
+def _detect_outliers(tensors: dict[str, np.ndarray], p: float) -> dict[str, tuple | np.ndarray]:
     """Outlier input dims per tensor, chaining consecutive 2-D matrices.
 
     Tensors are treated, in container order, as maximal chains of linear
     layers wherever the output count of one matrix equals the input count
     of the next. The first layer of each chain gets no outlier treatment.
     """
-    dims = {name: np.zeros(0, dtype=np.int32) for name in tensors}
+    dims = dict.fromkeys(tensors, ())
     if p <= 0:
         return dims
     chains: list[list[str]] = []
@@ -101,7 +101,7 @@ def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig,
     for name, arr in tensors.items():
         dims = outlier_dims[name]
         scored = None if sums is None else sums.setdefault(name, accounting.ErrorSums())
-        if dims.size:  # only 2-D tensors get outlier rows
+        if len(dims):  # only 2-D tensors get outlier rows
             result[name] = outliers.quantize_mixed(arr, dims, None, config, scored)
         else:
             result[name] = quantizer.quantize_tensor(arr, None, config, scored)

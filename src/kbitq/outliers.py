@@ -20,7 +20,6 @@ from .errors import (
     DimensionError,
     EmptyInputError,
     InvalidFractionError,
-    InvalidIndexError,
 )
 from .quantizer import QuantConfig, QuantizedTensor, quantize_group
 
@@ -105,12 +104,4 @@ def quantize_mixed(W, J, codebook: Codebook | None, config: QuantConfig,
     arr = np.asarray(W)
     if arr.ndim != 2:
         raise DimensionError(f"mixed-precision quantization needs a 2-D matrix, got {arr.shape}")
-    dims = np.unique(np.asarray(J, dtype=np.int64)).astype(np.int32)
-    if dims.size and (dims[0] < 0 or dims[-1] >= arr.shape[0]):
-        raise InvalidIndexError(
-            f"outlier dims must be in [0, {arr.shape[0]}), got {dims[dims >= arr.shape[0]]}"
-            if dims[-1] >= arr.shape[0]
-            else f"outlier dims must be non-negative, got {dims[dims < 0]}"
-        )
-
-    return next(quantize_group(arr, dims, [config], codebook, [sums]))
+    return next(quantize_group(arr, J, [config], codebook, [sums]))

@@ -40,6 +40,7 @@ from .errors import (
     CorruptDataError,
     EmptyInputError,
     InvalidFractionError,
+    InvalidIndexError,
     InvalidSpecError,
     InvalidValueError,
     LengthError,
@@ -320,8 +321,7 @@ def _kept_values(t: np.ndarray, dims, block_size: int):
 
 def _block_layout(n: int, block_size: int):
     starts = np.arange(0, n, block_size)
-    counts = np.diff(np.append(starts, n))
-    return starts, counts
+    return starts, np.diff(np.append(starts, n))
 
 
 def _normalize(x: np.ndarray, block_size: int, centered: bool):
@@ -413,22 +413,31 @@ def quantize_tensor(t, codebook: Codebook | None, config: QuantConfig,
     normalized values the lookup reuses, where codebook_for's are normalized anew.
     With sums (an ErrorSums) the tensor is scored as it is encoded (see quantize_group).
     """
-    return next(quantize_group(t, np.zeros(0, dtype=np.int32), [config], codebook, [sums]))
+    return next(quantize_group(t, (), [config], codebook, [sums]))
 
 
 def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None):
-    """Yield t quantized under each config, its rows in dims (sorted, unique) kept at 16 bits.
+    """Yield t quantized under each config, its rows in dims kept at 16 bits.
 
-    The configs share block size and centering, so the kept rows are normalized once,
-    and held only when more than one pass reads them. Without a codebook each config
-    takes its own; every quantile width comes from one sort of codebook_for's sample.
-    A codebook given must be the one every config calls for (InvalidSpecError otherwise).
-    sums holds an ErrorSums per config: each slab is scored as it is encoded, the
-    outlier rows last, and the ErrorSums' code_use is set before q is yielded.
+    dims holds integers in [0, len(t)), in any order and with repeats. The configs share
+    block size and centering, so the kept rows are normalized once, and held only when
+    more than one pass reads them. Without a codebook each config takes its own; every
+    quantile width comes from one sort of codebook_for's sample. A codebook given must be
+    the one every config calls for. sums holds an ErrorSums per config: each slab is
+    scored as it is encoded, the outlier rows last, and code_use is set before q is yielded.
     """
+    if not configs or len({(c.block_size, c.centered) for c in configs}) > 1:
+        raise InvalidSpecError("a group needs one or more configs of one block size and centering")
+    if sums is not None and len(sums) != len(configs):
+        raise InvalidSpecError(f"{len(configs)} configs need as many sums, got {len(sums)}")
     for config in configs if codebook is not None else ():
         _check_codebook_config(codebook, config)
     arr = _check_input(t)
+    dims, n_rows = np.asarray(dims).ravel(), arr.shape[0] if arr.ndim else 0
+    bad = dims[(dims < 0) | (dims >= n_rows)] if dims.dtype.kind in "iu" else dims
+    if bad.size:  # checked before the cast, which would wrap rows past int32
+        raise InvalidIndexError(f"outlier rows must be integers in [0, {n_rows}), got {bad}")
+    dims = np.unique(dims).astype(np.int32)
     outliers = arr[dims] if dims.size else np.zeros(0)
     rows = _stored16(outliers, "outlier value").reshape(dims.size, -1 if dims.size else 0)
     n = arr.size - rows.size

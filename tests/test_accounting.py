@@ -14,7 +14,14 @@ from kbitq import (
     quantize_tensor,
     total_model_bits,
 )
-from kbitq.errors import DimensionError, EmptyInputError, UndefinedCorrelationError
+from kbitq.accounting import code_use
+from kbitq.errors import (
+    CorruptDataError,
+    DimensionError,
+    EmptyInputError,
+    UndefinedCorrelationError,
+)
+from kbitq.quantizer import pack_indices
 
 
 def rng(salt=0):
@@ -128,6 +135,17 @@ class TestErrorMetrics:
         report = error_metrics(x, y, q)
         expected = 10 * np.log10(np.mean(x**2) / np.mean((x - y) ** 2))
         assert report.snr_db == pytest.approx(expected, rel=1e-12)
+
+    def test_code_outside_the_book_rejected_as_the_decoder_does(self):
+        # a float4 book has 15 codes, so code 15 decodes to nothing
+        x = rng(6).standard_normal(96)
+        q, y = self.make_quantized(x, kind="float")
+        assert code_use(q)[1] == 15
+        q.packed_indices = pack_indices(np.full(q.n_quantized, 15), 4)
+        for call in (lambda: error_metrics(x, y, q), lambda: code_use(q),
+                     lambda: dequantize_tensor(q)):
+            with pytest.raises(CorruptDataError, match="index 15 out of range"):
+                call()
 
 
 class TestPearsonCorrelation:
