@@ -321,7 +321,8 @@ def _kept_values(t: np.ndarray, dims, block_size: int):
 
 def _block_layout(n: int, block_size: int):
     starts = np.arange(0, n, block_size)
-    return starts, np.diff(np.append(starts, n))
+    counts = np.diff(np.append(starts, n))
+    return starts, counts
 
 
 def _normalize(x: np.ndarray, block_size: int, centered: bool):
@@ -434,10 +435,9 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
         _check_codebook_config(codebook, config)
     arr = _check_input(t)
     dims, n_rows = np.asarray(dims).ravel(), arr.shape[0] if arr.ndim else 0
-    bad = dims[(dims < 0) | (dims >= n_rows)] if dims.dtype.kind in "iu" else dims
-    if bad.size:  # checked before the cast, which would wrap rows past int32
-        raise InvalidIndexError(f"outlier rows must be integers in [0, {n_rows}), got {bad}")
-    dims = np.unique(dims).astype(np.int32)
+    if dims.size and (dims.dtype.kind not in "iu" or dims.min() < 0 or dims.max() >= n_rows):
+        raise InvalidIndexError(f"outlier rows must be integers in [0, {n_rows}), got {dims}")
+    dims = np.unique(dims).astype(np.int32)  # only once checked: the cast wraps rows >= 2^31
     outliers = arr[dims] if dims.size else np.zeros(0)
     rows = _stored16(outliers, "outlier value").reshape(dims.size, -1 if dims.size else 0)
     n = arr.size - rows.size
