@@ -31,7 +31,8 @@ def test_passes():
 
 def test_failing_example_does_not_end_the_session(tmp_path):
     (tmp_path / "test_two.py").write_text(TWO_TESTS)
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent)}
+    path = [str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "pytest", "-q", "-p", "conftest",
          "-p", "no:cacheprovider", "test_two.py"],
