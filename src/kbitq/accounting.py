@@ -30,7 +30,8 @@ class BitsBreakdown:
 
     @property
     def total(self) -> float:
-        return self.base_bits + self.block_overhead + self.centering_overhead + self.outlier_overhead
+        return (self.base_bits + self.block_overhead + self.centering_overhead
+                + self.outlier_overhead)
 
     def as_dict(self) -> dict:
         return {**asdict(self), "total": self.total}

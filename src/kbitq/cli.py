@@ -109,14 +109,8 @@ def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig,
 
 
 def _config_from_args(args):
-    return quantizer.QuantConfig(
-        kind=CodebookKind(args.dtype),
-        bits=args.bits,
-        block_size=args.block_size,
-        centered=args.centered,
-        outlier_fraction=args.outlier_p,
-        exponent_bits=args.exponent_bits,
-    )
+    return quantizer.QuantConfig(args.dtype, args.bits, args.block_size, args.centered,
+                                 args.outlier_p, args.exponent_bits)
 
 
 def _emit(payload: dict) -> None:
@@ -235,19 +229,12 @@ def cmd_sweep(args) -> int:
     tensors = {name: np.asarray(arr, dtype=np.float64) for name, arr in tensors.items()}
 
     try:
-        kinds = sorted({CodebookKind(k).value for k in args.dtype.split(",") if k})
+        kinds = sorted({k for k in args.dtype.split(",") if k})
         bits = sorted({int(b) for b in args.bits.split(",") if b})
-        blocks = sorted(
-            {_parse_block_size(b) for b in args.block_size.split(",") if b},
-            key=lambda b: (b is None, b),
-        )
-        flags = {int(c) for c in args.centered.split(",") if c}
-        if flags - {0, 1}:
-            raise InvalidSpecError(f"bad grid value: centered is 0 or 1, not {min(flags - {0, 1})}")
-        centered = sorted(map(bool, flags))
+        blocks = sorted({_parse_block_size(b) for b in args.block_size.split(",") if b},
+                        key=lambda b: (b is None, b))
+        centered = sorted({int(c) for c in args.centered.split(",") if c})
         fractions = sorted({float(p) for p in args.outlier_p.split(",") if p})
-    except InvalidSpecError:  # a centering flag, already worded
-        raise
     except argparse.ArgumentTypeError as exc:  # a block size, already worded
         raise InvalidSpecError(str(exc))
     except ValueError as exc:
@@ -256,8 +243,8 @@ def cmd_sweep(args) -> int:
         raise InvalidSpecError("sweep grid is empty")
     grid = [quantizer.QuantConfig(*cell)  # kind, bits, block size, centered, outlier fraction
             for cell in itertools.product(kinds, bits, blocks, centered, fractions)]
-    # configs sharing (block size, centering, outlier fraction) share their outlier rows,
-    # normalization and quantile sample; rows still come out in grid order
+    # configs of one outlier fraction share its outlier rows; those sharing block size and
+    # centering too share normalization and quantile sample; rows still come out in grid order
     groups: dict[tuple, list] = {}
     for config in grid:
         key = (config.block_size, config.centered, config.outlier_fraction)
@@ -271,10 +258,10 @@ def cmd_sweep(args) -> int:
     total_elements = sum(arr.size for arr in tensors.values())
     sums = {config: accounting.ErrorSums() for config in grid}
     util, model_bits = dict.fromkeys(grid, 0.0), dict.fromkeys(grid, 0)
+    outlier_dims = {p: _detect_outliers(tensors, p) for p in fractions}
     for (_, _, p), group in groups.items():
-        outlier_dims = _detect_outliers(tensors, p)
         for name, arr in tensors.items():
-            encoded = quantizer.quantize_group(arr, outlier_dims[name], group,
+            encoded = quantizer.quantize_group(arr, outlier_dims[p][name], group,
                                                sums=[sums[config] for config in group])
             for config, q in zip(group, encoded):
                 used, n_codes = sums[config].code_use

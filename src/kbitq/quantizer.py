@@ -58,12 +58,14 @@ _QUANTIZABLE_KINDS = (
 
 @dataclass(frozen=True)
 class QuantConfig:
-    """Full description of a quantization method.
+    """Full description of a quantization method, whose fields are checked here alone.
 
-    block_size None means one block spanning the whole tensor. The outlier
-    fraction is the share of input dimensions kept at 16 bits; it only
-    takes effect through an explicit index set (see the outliers module)
-    but always participates in bit accounting.
+    kind is a CodebookKind or its value; bits, block_size and exponent_bits are (numpy)
+    integers, not bools; centered is a bool, 0 or 1; outlier_fraction is an integer or
+    float in [0, 1); each is stored as one Python type. block_size None means one block
+    spanning the whole tensor. The outlier fraction is the share of input dimensions kept
+    at 16 bits; it only takes effect through an explicit index set (see the outliers
+    module) but always participates in bit accounting.
     """
 
     kind: CodebookKind
@@ -74,22 +76,32 @@ class QuantConfig:
     exponent_bits: int | None = None
 
     def __post_init__(self) -> None:
-        kind = CodebookKind(self.kind)
-        object.__setattr__(self, "kind", kind)
+        try:
+            kind = CodebookKind(self.kind)
+        except (TypeError, ValueError):
+            raise InvalidSpecError(f"{self.kind!r} is not a codebook kind") from None
         if kind not in _QUANTIZABLE_KINDS:
             raise InvalidSpecError(f"cannot quantize with codebook kind {kind.value!r}")
-        _check_bits(self.bits, low=3 if kind is CodebookKind.FLOAT else 2)
-        if self.block_size is not None and self.block_size < 1:
-            raise InvalidSpecError(f"block size must be >= 1, got {self.block_size}")
-        if not 0.0 <= self.outlier_fraction < 1.0:
-            raise InvalidFractionError(
-                f"outlier fraction must be in [0, 1), got {self.outlier_fraction}"
-            )
-        e = self.exponent_bits
+        if not _is_integer(self.bits):
+            raise InvalidSpecError(f"bit width must be an integer, got {self.bits!r}")
+        bits = _check_bits(self.bits, low=3 if kind is CodebookKind.FLOAT else 2)
+        b, c, p, e = self.block_size, self.centered, self.outlier_fraction, self.exponent_bits
+        if b is not None and not (_is_integer(b) and b >= 1):
+            raise InvalidSpecError(f"block size must be an integer >= 1, got {b!r}")
+        if not isinstance(c, (int, np.integer, np.bool_)) or c not in (0, 1):
+            raise InvalidSpecError(f"centered must be a bool, 0 or 1, got {c!r}")
+        if not (isinstance(p, (float, np.floating)) or _is_integer(p)) or not 0 <= p < 1:
+            raise InvalidFractionError(f"outlier fraction must be in [0, 1), got {p!r}")
         if e is not None and kind is not CodebookKind.FLOAT:
             raise InvalidSpecError("exponent_bits only applies to the float kind")
-        if e is not None and not (isinstance(e, (int, np.integer)) and 1 <= e < self.bits):
+        if e is not None and not (_is_integer(e) and 1 <= e < bits):
             raise InvalidSpecError(f"exponent_bits must be an integer in [1, bits), got {e!r}")
+        vars(self).update(kind=kind, bits=bits, block_size=b and int(b), centered=bool(c),
+                          outlier_fraction=float(p), exponent_bits=e and int(e))
+
+
+def _is_integer(value) -> bool:  # a Python or numpy integer, not a bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)
@@ -127,7 +139,7 @@ class QuantizedTensor:
     def validate(self) -> None:
         """Raise CorruptDataError unless the decoder can honour this tensor.
 
-        Shape sizes are >= 0; outlier dims ascend strictly within
+        Shape sizes are >= 0; outlier dims are integers ascending strictly within
         [0, shape[0]); quantized elements and outlier rows of width
         prod(shape[1:]) split the shape; index bytes, block constants and
         means fit those counts; only a quantile tensor embeds a codebook.
@@ -136,8 +148,9 @@ class QuantizedTensor:
         n_rows = shape[0] if shape else 0
         if any(s < 0 for s in shape):
             raise CorruptDataError(f"negative size in shape {list(shape)}")
-        if dims.size and (dims[0] < 0 or dims[-1] >= n_rows or np.any(np.diff(dims) <= 0)):
-            raise CorruptDataError(f"outlier dims must ascend strictly within [0, {n_rows})")
+        if dims.dtype.kind not in "iu" or dims.size and (
+                dims[0] < 0 or dims[-1] >= n_rows or np.any(np.diff(dims) <= 0)):
+            raise CorruptDataError(f"outlier dims must be strictly ascending ints in [0, {n_rows})")
         n_out = dims.size * math.prod(shape[1:])
         n_means = None if self.means is None else self.means.size
         found = (self.n_quantized, self.outlier_rows.size, len(self.packed_indices),

@@ -212,6 +212,13 @@ def write_kbq(tensors: dict[str, QuantizedTensor], path) -> None:
     _write_atomically(path, [head, b"\0" * _pad(len(head)), *payload])
 
 
+def _whole(size) -> int:
+    """A manifest count: a JSON number equal to an integer (8.0 reads as 8), not a bool."""
+    if isinstance(size, bool) or not isinstance(size, (int, float)) or int(size) != size:
+        raise CorruptDataError(f"count {size!r} is not an integer")  # int() words inf and NaN
+    return int(size)
+
+
 def read_kbq(path) -> dict[str, QuantizedTensor]:
     """Load a KBQ file back into quantized tensors."""
     with open(path, "rb") as fh:
@@ -236,14 +243,9 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
     for name, entry in manifest.get("tensors", {}).items():
         try:
             dtype, sections = entry["dtype"], entry["sections"]
-            config = QuantConfig(
-                kind=CodebookKind(dtype["kind"]),
-                bits=int(dtype["bits"]),
-                block_size=entry["block_size"],
-                centered=bool(entry["centered"]),
-                outlier_fraction=float(entry["outlier_fraction"]),
-                exponent_bits=dtype["exponent_bits"],
-            )
+            config = QuantConfig(dtype["kind"], dtype["bits"], entry["block_size"],
+                                 entry["centered"], entry["outlier_fraction"],
+                                 dtype["exponent_bits"])
 
             def sec(what: str, code: str) -> np.ndarray:  # counts are for q.validate()
                 if what not in sections:
@@ -261,10 +263,10 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
             means = sec("means", "f2")  # kept if uncentered but not empty, so validate fails
             quantile = config.kind is CodebookKind.QUANTILE
             q = QuantizedTensor(
-                shape=tuple(int(s) for s in entry["shape"]),
+                shape=tuple(map(_whole, entry["shape"])),
                 config=config,
                 packed_indices=sec("indices", "u1").tobytes(),
-                n_quantized=int(entry["n_quantized"]),
+                n_quantized=_whole(entry["n_quantized"]),
                 absmax=sec("absmax", "f2"),
                 means=means if config.centered or means.size else None,
                 outlier_dims=dims,

@@ -31,6 +31,7 @@ RECORDS = "family,n_params,precision_bits,total_bits,metric_kind,value\n" + "".j
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 70), st.sampled_from([2**31, 2**63, -(2**40)]),
     st.floats(allow_nan=True, allow_infinity=True, width=32), st.text(max_size=3),
+    st.integers(-3, 70).map(float), st.sampled_from(["0", "1", "4", "8", "16", "0.5"]),
     st.lists(st.integers(-2, 70), max_size=4), st.dictionaries(st.text(max_size=2),
                                                                st.integers(0, 9), max_size=2),
 )
