@@ -231,8 +231,10 @@ def cmd_sweep(args) -> int:
     try:
         kinds = sorted({k for k in args.dtype.split(",") if k})
         bits = sorted({int(b) for b in args.bits.split(",") if b})
-        blocks = sorted({_parse_block_size(b) for b in args.block_size.split(",") if b},
-                        key=lambda b: (b is None, b))
+        blocks = sorted(
+            {_parse_block_size(b) for b in args.block_size.split(",") if b},
+            key=lambda b: (b is None, b),
+        )
         centered = sorted({int(c) for c in args.centered.split(",") if c})
         fractions = sorted({float(p) for p in args.outlier_p.split(",") if p})
     except argparse.ArgumentTypeError as exc:  # a block size, already worded

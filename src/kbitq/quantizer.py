@@ -48,12 +48,10 @@ from .errors import (
 
 FLOAT16_MAX = 65504.0
 
-_QUANTIZABLE_KINDS = (
-    CodebookKind.INT,
-    CodebookKind.FLOAT,
-    CodebookKind.DYNAMIC,
-    CodebookKind.QUANTILE,
-)
+_QUANTIZABLE_KINDS = {  # by value; a CodebookKind is a str, so it finds itself
+    k.value: k
+    for k in (CodebookKind.INT, CodebookKind.FLOAT, CodebookKind.DYNAMIC, CodebookKind.QUANTILE)
+}
 
 
 @dataclass(frozen=True)
@@ -76,12 +74,9 @@ class QuantConfig:
     exponent_bits: int | None = None
 
     def __post_init__(self) -> None:
-        try:
-            kind = CodebookKind(self.kind)
-        except (TypeError, ValueError):
-            raise InvalidSpecError(f"{self.kind!r} is not a codebook kind") from None
-        if kind not in _QUANTIZABLE_KINDS:
-            raise InvalidSpecError(f"cannot quantize with codebook kind {kind.value!r}")
+        kind = _QUANTIZABLE_KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if kind is None:
+            raise InvalidSpecError(f"cannot quantize with codebook kind {self.kind!r}")
         if not _is_integer(self.bits):
             raise InvalidSpecError(f"bit width must be an integer, got {self.bits!r}")
         bits = _check_bits(self.bits, low=3 if kind is CodebookKind.FLOAT else 2)
