@@ -3,8 +3,6 @@ read_kbq and the CLI pass values through it unconverted, so a value it cannot ho
 is refused, never truncated or parsed. Also: a tensor's outlier dims must be integers."""
 
 import dataclasses
-import json
-import struct
 
 import numpy as np
 import pytest
@@ -19,14 +17,8 @@ from kbitq import (
     write_container,
     write_kbq,
 )
-from kbitq.cli import main
 from kbitq.errors import CorruptDataError, InvalidFractionError, InvalidSpecError, KbitqError
-
-
-def run_cli(capsys, *argv):
-    code = main([str(a) for a in argv])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from test_cli import rewrite_manifest, run_cli
 
 
 class TestConfigFields:
@@ -48,10 +40,9 @@ class TestConfigFields:
             QuantConfig(**{"kind": "int", "bits": 4, field: value})
         assert isinstance(info.value, KbitqError)
 
-    @pytest.mark.parametrize("value", [True, 1.0, 2.0])
-    def test_exponent_bits_refuses_bools_and_floats(self, value):
+    def test_exponent_bits_refuses_a_bool(self):  # floats: tests/test_quantizer.py
         with pytest.raises(InvalidSpecError):
-            QuantConfig(kind="float", bits=5, exponent_bits=value)
+            QuantConfig(kind="float", bits=5, exponent_bits=True)
 
     def test_each_field_is_stored_as_one_python_type(self):
         config = QuantConfig("float", np.uint8(5), np.int32(64), np.True_, np.float32(0.25),
@@ -70,16 +61,6 @@ class TestConfigFields:
         back = read_kbq(tmp_path / "w.kbq")["w"].config
         assert back == config == QuantConfig("int", 4, 64, True)
         assert (type(back.bits), type(back.block_size), type(back.centered)) == (int, int, bool)
-
-
-def rewrite_manifest(path, edit):
-    """Apply edit to a KBQ manifest in place; padding keeps every section offset."""
-    blob = bytearray(path.read_bytes())
-    (length,) = struct.unpack("<I", blob[4:8])
-    encoded = json.dumps(edit(json.loads(blob[8 : 8 + length])), separators=(",", ":")).encode()
-    assert len(encoded) <= length
-    blob[8 : 8 + length] = encoded.ljust(length)
-    path.write_bytes(bytes(blob))
 
 
 class TestManifestValuesPassThrough:
