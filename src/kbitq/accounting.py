@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionError, EmptyInputError, UndefinedCorrelationError
-from .quantizer import QuantConfig, QuantizedTensor, block_count
+from .quantizer import KBQ_SECTIONS, QuantConfig, QuantizedTensor, section_counts
 from .quantizer import _checked_codes, _decode, _kept_values
 
 
@@ -80,20 +80,9 @@ def bits_per_param(config: QuantConfig, element_count: int | None = None) -> Bit
 def section_bytes(
     config: QuantConfig, n_quantized: int, n_dims: int, n_outlier_values: int, n_codes: int
 ) -> dict[str, int]:
-    """Exact byte size of each KBQ section of a tensor with these counts.
-
-    means is always a section, empty unless the config is centered;
-    codebook holds the n_codes embedded values of a quantile tensor.
-    """
-    n_blocks = block_count(n_quantized, config.block_size)
-    return {
-        "indices": -(-n_quantized * config.bits // 8),
-        "absmax": 2 * n_blocks,
-        "means": 2 * n_blocks if config.centered else 0,
-        "outlier_dims": 4 * n_dims,
-        "outlier_rows": 2 * n_outlier_values,
-        "codebook": 8 * n_codes,
-    }
+    """Exact byte size of each KBQ section of a tensor with these counts (section_counts)."""
+    counts = section_counts(config, n_quantized, n_dims, n_outlier_values, n_codes)
+    return {name: counts[name] * np.dtype(code).itemsize for name, code in KBQ_SECTIONS.items()}
 
 
 def payload_sections(q: QuantizedTensor) -> dict[str, int]:

@@ -55,10 +55,11 @@ _ZERO_KINDS = {
 
 
 def _check_bits(k: int, low: int = MIN_BITS, high: int = MAX_BITS) -> int:
-    k = int(k)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidSpecError(f"bit width must be an integer, got {k!r}")
     if not low <= k <= high:
         raise PrecisionRangeError(f"bit width must be in [{low}, {high}], got {k}")
-    return k
+    return int(k)
 
 
 @dataclass(frozen=True)
@@ -277,9 +278,7 @@ def build_dynamic_codebook(spec: DynamicSpec) -> Codebook:
     different patterns (e.g. 10^-2 * 1 vs 10^-1 * 0.1) collapse reliably,
     then the set is absmax-normalized.
     """
-    k = int(spec.total_bits)
-    if k < MIN_BITS:
-        raise PrecisionRangeError(f"dynamic codebook needs at least {MIN_BITS} bits, got {k}")
+    k = _check_bits(spec.total_bits)
     lo = Fraction(str(float(spec.fraction_lo)))
     hi = Fraction(str(float(spec.fraction_hi)))
     magnitudes = set()

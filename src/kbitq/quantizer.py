@@ -77,8 +77,6 @@ class QuantConfig:
         kind = _QUANTIZABLE_KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if kind is None:
             raise InvalidSpecError(f"cannot quantize with codebook kind {self.kind!r}")
-        if not _is_integer(self.bits):
-            raise InvalidSpecError(f"bit width must be an integer, got {self.bits!r}")
         bits = _check_bits(self.bits, low=3 if kind is CodebookKind.FLOAT else 2)
         b, c, p, e = self.block_size, self.centered, self.outlier_fraction, self.exponent_bits
         if b is not None and not (_is_integer(b) and b >= 1):
@@ -97,6 +95,20 @@ class QuantConfig:
 
 def _is_integer(value) -> bool:  # a Python or numpy integer, not a bool
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# A tensor's KBQ sections in file order: name -> stored (little-endian) dtype.
+KBQ_SECTIONS = {"indices": "u1", "absmax": "f2", "means": "f2", "outlier_dims": "i4",
+                "outlier_rows": "f2", "codebook": "f8"}
+
+
+def section_counts(config: QuantConfig, n_quantized: int, n_dims: int, n_outlier_values: int,
+                   n_codes: int) -> dict[str, int]:
+    """Values in each KBQ section of a tensor with these counts; means only when centered."""
+    n_blocks = block_count(n_quantized, config.block_size)
+    return {"indices": -(-n_quantized * config.bits // 8), "absmax": n_blocks,
+            "means": n_blocks if config.centered else 0, "outlier_dims": n_dims,
+            "outlier_rows": n_outlier_values, "codebook": n_codes}
 
 
 @dataclass(eq=False)
@@ -131,32 +143,39 @@ class QuantizedTensor:
     def n_blocks(self) -> int:
         return block_count(self.n_quantized, self.config.block_size)
 
+    def sections(self) -> dict[str, np.ndarray | None]:
+        """The tensor's arrays by KBQ section name; means and codebook may be None."""
+        return {"indices": np.frombuffer(self.packed_indices, KBQ_SECTIONS["indices"]),
+                "absmax": self.absmax, "means": self.means, "outlier_dims": self.outlier_dims,
+                "outlier_rows": self.outlier_rows, "codebook": self.codebook_values}
+
     def validate(self) -> None:
         """Raise CorruptDataError unless the decoder can honour this tensor.
 
-        Shape sizes are >= 0; outlier dims are integers ascending strictly within
-        [0, shape[0]); quantized elements and outlier rows of width
-        prod(shape[1:]) split the shape; index bytes, block constants and
-        means fit those counts; only a quantile tensor embeds a codebook.
+        Shape sizes and n_quantized are integers >= 0; each section has its KBQ_SECTIONS dtype
+        and section_counts' size, where quantized elements and outlier rows of width
+        prod(shape[1:]) split the shape and outlier dims ascend strictly within [0, shape[0]);
+        means are given iff centered; only a quantile tensor embeds a (valid) codebook.
         """
-        shape, dims, cfg = self.shape, self.outlier_dims, self.config
+        shape, dims, cfg, arrays = self.shape, self.outlier_dims, self.config, self.sections()
+        if not all(_is_integer(s) and s >= 0 for s in (*shape, self.n_quantized)):
+            raise CorruptDataError(f"negative size or non-integer in shape {list(shape)} "
+                                   f"or n_quantized {self.n_quantized!r}")
+        for name, code in KBQ_SECTIONS.items():
+            if arrays[name] is not None and arrays[name].dtype != code:
+                raise CorruptDataError(f"{name} holds {arrays[name].dtype}, not {np.dtype(code)}")
         n_rows = shape[0] if shape else 0
-        if any(s < 0 for s in shape):
-            raise CorruptDataError(f"negative size in shape {list(shape)}")
-        if dims.dtype.kind not in "iu" or dims.size and (
-                dims[0] < 0 or dims[-1] >= n_rows or np.any(np.diff(dims) <= 0)):
-            raise CorruptDataError(f"outlier dims must be strictly ascending ints in [0, {n_rows})")
+        if dims.size and (dims[0] < 0 or dims[-1] >= n_rows or np.any(np.diff(dims) <= 0)):
+            raise CorruptDataError(f"outlier dims must be strictly ascending in [0, {n_rows})")
+        if (self.means is not None) != cfg.centered:
+            raise CorruptDataError(f"means must be present iff centered, which is {cfg.centered}")
         n_out = dims.size * math.prod(shape[1:])
-        n_means = None if self.means is None else self.means.size
-        found = (self.n_quantized, self.outlier_rows.size, len(self.packed_indices),
-                 self.absmax.size, n_means)
-        needed = (math.prod(shape) - n_out, n_out, -(-self.n_quantized * cfg.bits // 8),
-                  self.n_blocks, self.n_blocks if cfg.centered else None)
-        if found != needed:
-            raise CorruptDataError(
-                f"(quantized elements, outlier values, index bytes, block constants, means) "
-                f"are {found}; shape {list(shape)} with {dims.size} outlier rows needs {needed}"
-            )
+        found = {name: 0 if a is None else a.size for name, a in arrays.items()}
+        needed = section_counts(cfg, self.n_quantized, dims.size, n_out, found["codebook"])
+        if self.n_quantized + n_out != math.prod(shape) or found != needed:
+            raise CorruptDataError(f"{self.n_quantized} quantized elements and section sizes "
+                                   f"{found}; shape {list(shape)} with {dims.size} outlier rows "
+                                   f"needs {math.prod(shape) - n_out} and {needed}")
         if cfg.kind is CodebookKind.QUANTILE:
             reconstruct_codebook(self)
         elif self.codebook_values is not None:

@@ -5,9 +5,8 @@ little-endian header length, a JSON table mapping tensor names to dtype
 (F32/F16), shape, and [begin, end) offsets into the data region that
 follows. Quantized tensors are serialized in the KBQ1 format: a 4-byte
 magic, a 4-byte little-endian manifest length, a UTF-8 JSON manifest, then
-8-byte-aligned binary sections (packed indices, binary16 constants and
-means, 32-bit outlier dims, binary16 outlier rows, float64 embedded
-codebook values). All multi-byte integers are little-endian.
+8-byte-aligned binary sections in the order and stored dtypes of
+quantizer.KBQ_SECTIONS. All multi-byte integers are little-endian.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .errors import (
     LengthError,
     ParseError,
 )
-from .quantizer import QuantConfig, QuantizedTensor
+from .quantizer import KBQ_SECTIONS, QuantConfig, QuantizedTensor
 
 KBQ_MAGIC = b"KBQ1"
 KBQ_VERSION = 1
@@ -87,7 +86,9 @@ def read_container(path) -> TensorContainer:
     for name, entry in header.items():
         try:
             dtype, shape = entry["dtype"], entry["shape"]
-            begin, end = map(operator.index, entry["data_offsets"])  # ints only, no 2.5 or "4"
+            begin, end = entry["data_offsets"]
+            if not type(begin) is type(end) is int:  # no true, 2.5 or "4"
+                raise TypeError(f"data_offsets {[begin, end]!r} are not integers")
         except KeyError as exc:
             raise ParseError(f"{path}: tensor {name!r} is missing {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -149,32 +150,22 @@ def _pad(n: int) -> int:
     return (-n) % _ALIGN
 
 
-def _tensor_sections(q: QuantizedTensor) -> dict[str, bytes]:
-    sections = {
-        "indices": q.packed_indices,
-        "absmax": q.absmax.astype("<f2").tobytes(),
-        "means": q.means.astype("<f2").tobytes() if q.means is not None else b"",
-        "outlier_dims": q.outlier_dims.astype("<i4").tobytes(),
-        "outlier_rows": q.outlier_rows.astype("<f2").tobytes(),
-    }
-    if q.codebook_values is not None:
-        sections["codebook"] = q.codebook_values.astype("<f8").tobytes()
-    return sections
-
-
 def write_kbq(tensors: dict[str, QuantizedTensor], path) -> None:
     """Serialize quantized tensors, each validated first; read_kbq inverts this bit-exactly."""
-    payload: list[bytes] = []
+    payload: list[np.ndarray | bytes] = []
     relative: list[tuple[str, str, int, int]] = []
     entries: dict[str, dict] = {}
     rel = 0
     for name, q in tensors.items():
         q.validate()
-        for sec_name, raw in _tensor_sections(q).items():
-            relative.append((name, sec_name, rel, len(raw)))
-            payload.append(raw)
-            payload.append(b"\0" * _pad(len(raw)))
-            rel += len(raw) + _pad(len(raw))
+        for sec_name, arr in q.sections().items():
+            if arr is None and sec_name == "codebook":  # means is a section even when None
+                continue
+            code = "<" + KBQ_SECTIONS[sec_name]  # validate() checked arr's dtype, so raw is
+            raw = np.ascontiguousarray(() if arr is None else arr, code)  # arr on little-endian
+            relative.append((name, sec_name, rel, raw.nbytes))
+            payload += [raw, b"\0" * _pad(raw.nbytes)]
+            rel += raw.nbytes + _pad(raw.nbytes)
         cfg = q.config
         entries[name] = {
             "shape": list(q.shape),
@@ -194,7 +185,8 @@ def write_kbq(tensors: dict[str, QuantizedTensor], path) -> None:
         for name, sec_name, off, length in relative:
             entries[name]["sections"][sec_name] = [base + off, length]
         manifest = {"version": KBQ_VERSION, "tensors": entries}
-        return json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+        # numpy integer shape sizes or n_quantized, which validate() admits, as JSON integers
+        return json.dumps(manifest, separators=(",", ":"), default=operator.index).encode("utf-8")
 
     # Absolute offsets depend on the manifest length, which depends on the
     # offsets' digit counts; iterate to a fixed point (grows monotonically,
@@ -250,7 +242,7 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
             def sec(what: str, code: str) -> np.ndarray:  # counts are for q.validate()
                 if what not in sections:
                     raise CorruptDataError(f"missing section {what!r}")
-                offset, length = sections[what]
+                offset, length = map(_whole, sections[what])
                 size = np.dtype(code).itemsize
                 if min(offset, length) < 0 or offset + length > len(blob) or length % size:
                     raise CorruptDataError(
@@ -259,19 +251,20 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
                     )
                 return np.frombuffer(blob[offset : offset + length], "<" + code).astype(code)
 
-            dims, rows = sec("outlier_dims", "i4"), sec("outlier_rows", "f2")
-            means = sec("means", "f2")  # kept if uncentered but not empty, so validate fails
-            quantile = config.kind is CodebookKind.QUANTILE
+            quantile = config.kind is CodebookKind.QUANTILE  # no other tensor reads a codebook
+            got = {what: sec(what, code) for what, code in KBQ_SECTIONS.items()
+                   if quantile or what != "codebook"}
+            means, dims, rows = got["means"], got["outlier_dims"], got["outlier_rows"]
             q = QuantizedTensor(
                 shape=tuple(map(_whole, entry["shape"])),
                 config=config,
-                packed_indices=sec("indices", "u1").tobytes(),
+                packed_indices=got["indices"].tobytes(),
                 n_quantized=_whole(entry["n_quantized"]),
-                absmax=sec("absmax", "f2"),
-                means=means if config.centered or means.size else None,
+                absmax=got["absmax"],
+                means=means if config.centered or means.size else None,  # else validate fails
                 outlier_dims=dims,
                 outlier_rows=rows.reshape(dims.size, rows.size // max(dims.size, 1)),
-                codebook_values=sec("codebook", "f8") if quantile else None,
+                codebook_values=got.get("codebook"),
             )
             q.validate()
         except (CorruptDataError, KeyError, TypeError, ValueError, OverflowError) as exc:
