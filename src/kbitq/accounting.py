@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyInputError, UndefinedCorrelationError
 from .quantizer import KBQ_SECTIONS, QuantConfig, QuantizedTensor, section_counts
-from .quantizer import _checked_codes, _decode, _kept_values
+from .quantizer import _checked_codes, _decode, _float64, _kept_slabs, _pooled
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,11 @@ def total_model_bits(tensors) -> int:
 
 
 class ErrorSums:
-    """Running error sums over one or more tensors, in the order added."""
+    """Running error sums over one or more tensors, in the order added.
+
+    A slab's sums are taken apart from the running ones (partial) and added to them
+    in slab order (fold), so slabs scored on several threads sum as one thread would.
+    """
 
     def __init__(self) -> None:
         self.n = 0
@@ -125,24 +129,43 @@ class ErrorSums:
         self.code_use = None  # (codes used, codes in the book) of the last tensor ended
         self._used = None  # which codes the current tensor's slabs used so far
 
-    def add(self, original, dequantized, codes=None) -> None:
-        """Add one tensor and its reconstruction, or a slab of one decoded from codes."""
+    @staticmethod
+    def partial(original, dequantized, codes=None, spend=False) -> tuple:
+        """(n, signal, abs, max and squared error, codes used or None) of one tensor or slab.
+
+        spend=True lets the sums overwrite dequantized, a float64 array, instead of a temporary.
+        """
         a = np.asarray(original, dtype=np.float64)
         b = np.asarray(dequantized, dtype=np.float64)
         if a.shape != b.shape:
             raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-        # one tensor-sized temporary at a time: a^2, then |a - b| squared in place
-        self.n += a.size
-        self.signal += float(np.sum(a**2))
-        err = a - b
+        a, b = np.atleast_1d(a, b)  # a 0-d difference would be a scalar, not a buffer
+        # one slab-sized buffer: |a - b|, squared in place, then a^2
+        err = np.subtract(a, b, out=b if spend else None)
         np.abs(err, out=err)
-        self.abs_err += float(np.sum(err))
-        self.max_abs_error = max(self.max_abs_error, float(np.max(err, initial=0.0)))
-        self.sq_err += float(np.sum(np.square(err, out=err)))
+        abs_err, max_err = float(np.sum(err)), float(np.max(err, initial=0.0))
+        sq_err = float(np.sum(np.square(err, out=err)))
+        signal = float(np.sum(np.square(a, out=err)))
+        used = None
         if codes is not None:
-            if self._used is None:
-                self._used = np.zeros(256, dtype=bool)  # codes have at most 8 bits
-            self._used[codes] = True
+            used = np.zeros(256, dtype=bool)  # codes have at most 8 bits
+            used[codes] = True
+        return a.size, signal, abs_err, max_err, sq_err, used
+
+    def fold(self, partial: tuple) -> None:
+        """Add a partial's sums to the running ones."""
+        n, signal, abs_err, max_err, sq_err, used = partial
+        self.n += n
+        self.signal += signal
+        self.abs_err += abs_err
+        self.max_abs_error = max(self.max_abs_error, max_err)
+        self.sq_err += sq_err
+        if used is not None:
+            self._used = used if self._used is None else self._used | used
+
+    def add(self, original, dequantized, codes=None) -> None:
+        """Add one tensor and its reconstruction, or a slab of one decoded from codes."""
+        self.fold(self.partial(original, dequantized, codes))
 
     def end_tensor(self, outliers, rows, n_codes: int) -> tuple[int, int]:
         """Add the tensor's outlier rows after its slabs; returns and keeps its code_use."""
@@ -160,9 +183,14 @@ class ErrorSums:
         codebook, indices = _checked_codes(q)
         if a.shape != q.shape:
             raise DimensionError(f"shape mismatch: {a.shape} vs {q.shape}")
-        for lo, hi, blocks, x in _kept_values(a, q.outlier_dims, q.block_size):
+
+        def score(lo: int, hi: int, blocks: slice, pieces) -> tuple:
             codes = indices[lo:hi]
-            self.add(x, _decode(codebook, codes, q.absmax, q.means, blocks, q.block_size), codes)
+            values = _decode(codebook, codes, q.absmax, q.means, blocks, q.block_size)
+            return self.partial(_float64(pieces), values, codes, spend=True)
+
+        for partial in _pooled(score, _kept_slabs(a, q.outlier_dims, q.block_size)):
+            self.fold(partial)
         outliers = a[q.outlier_dims] if q.outlier_dims.size else ()
         return self.end_tensor(outliers, q.outlier_rows, len(codebook))
 

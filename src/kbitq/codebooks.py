@@ -54,8 +54,12 @@ _ZERO_KINDS = {
 }
 
 
+def _is_integer(value) -> bool:  # a Python or numpy integer, not a bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_bits(k: int, low: int = MIN_BITS, high: int = MAX_BITS) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    if not _is_integer(k):
         raise InvalidSpecError(f"bit width must be an integer, got {k!r}")
     if not low <= k <= high:
         raise PrecisionRangeError(f"bit width must be in [{low}, {high}], got {k}")

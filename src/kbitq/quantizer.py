@@ -9,7 +9,8 @@ whose absolute maximum rounds to zero store the zero code everywhere,
 which reconstructs them exactly.
 
 All operations are pure and block-independent: encoding and decoding walk
-slabs of whole blocks, and no output depends on the slab size. Lookup counts
+slabs of whole blocks, on a pool of one thread per usable CPU (see _pooled),
+and no output depends on the slab size or the thread count. Lookup counts
 exact decision thresholds through a bucket table cached per codebook, and
 codes are packed eight to a uint64 word lane (see pack_indices).
 """
@@ -17,7 +18,10 @@ codes are packed eight to a uint64 word lane (see pack_indices).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,7 @@ from .codebooks import (
     cell_index,
     default_exponent_bits,
     _check_bits,
+    _is_integer,
 )
 from .errors import (
     CorruptDataError,
@@ -93,10 +98,6 @@ class QuantConfig:
                           outlier_fraction=float(p), exponent_bits=e and int(e))
 
 
-def _is_integer(value) -> bool:  # a Python or numpy integer, not a bool
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 # A tensor's KBQ sections in file order: name -> stored (little-endian) dtype.
 KBQ_SECTIONS = {"indices": "u1", "absmax": "f2", "means": "f2", "outlier_dims": "i4",
                 "outlier_rows": "f2", "codebook": "f8"}
@@ -152,18 +153,25 @@ class QuantizedTensor:
     def validate(self) -> None:
         """Raise CorruptDataError unless the decoder can honour this tensor.
 
-        Shape sizes and n_quantized are integers >= 0; each section has its KBQ_SECTIONS dtype
+        shape is a tuple, config a QuantConfig and packed_indices bytes; shape sizes and
+        n_quantized are integers >= 0; each section is an ndarray of its KBQ_SECTIONS dtype
         and section_counts' size, where quantized elements and outlier rows of width
         prod(shape[1:]) split the shape and outlier dims ascend strictly within [0, shape[0]);
         means are given iff centered; only a quantile tensor embeds a (valid) codebook.
         """
+        for name, kind in (("shape", tuple), ("config", QuantConfig), ("packed_indices", bytes)):
+            if not isinstance(vars(self)[name], kind):
+                raise CorruptDataError(f"{name} is a {type(vars(self)[name]).__name__}, "
+                                       f"not a {kind.__name__}")
         shape, dims, cfg, arrays = self.shape, self.outlier_dims, self.config, self.sections()
         if not all(_is_integer(s) and s >= 0 for s in (*shape, self.n_quantized)):
             raise CorruptDataError(f"negative size or non-integer in shape {list(shape)} "
                                    f"or n_quantized {self.n_quantized!r}")
         for name, code in KBQ_SECTIONS.items():
-            if arrays[name] is not None and arrays[name].dtype != code:
-                raise CorruptDataError(f"{name} holds {arrays[name].dtype}, not {np.dtype(code)}")
+            a = arrays[name]
+            if a is not None and not (isinstance(a, np.ndarray) and a.dtype == code):
+                raise CorruptDataError(f"{name} holds {getattr(a, 'dtype', type(a).__name__)}, "
+                                       f"not {np.dtype(code)}")
         n_rows = shape[0] if shape else 0
         if dims.size and (dims[0] < 0 or dims[-1] >= n_rows or np.any(np.diff(dims) <= 0)):
             raise CorruptDataError(f"outlier dims must be strictly ascending in [0, {n_rows})")
@@ -246,6 +254,58 @@ def lookup_index(codebook: Codebook, x: float) -> int:
     return int(lookup_indices(codebook, np.asarray(float(x))))
 
 
+# Elements per slab of whole blocks; bounds the encoder's and decoder's temporaries.
+_SLAB_ELEMENTS = 1 << 18
+# Elements per lookup_indices call; bounds the lookup's temporaries within a slab.
+_LOOKUP_ELEMENTS = 1 << 16
+# Threads of the slab pool: the CPUs this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+@functools.cache
+def _pool(workers: int, pid: int):
+    """This process's slab pool; a forked child, which has none of its threads, starts its own."""
+    from concurrent.futures import ThreadPoolExecutor  # on first use: 10 ms of start-up
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="kbitq-slab")
+
+
+def _pooled(fn, items):
+    """Yield fn(*item) for each item in order; fn must not call _pooled itself.
+
+    The calls run on the slab pool, at most _WORKERS of them at a time; with one worker
+    or one item they all run here, on the caller, and no thread is started. The first
+    call to raise, in item order, raises here; the calls not yet started are cancelled
+    and those running are awaited. Each call writes only its own item's slices of an
+    output, so no output depends on the number of workers.
+    """
+    items = iter(items)
+    head = list(itertools.islice(items, 2))
+    items = itertools.chain(head, items)
+    if _WORKERS < 2 or len(head) < 2:
+        yield from itertools.starmap(fn, items)
+        return
+    pool, pending = _pool(_WORKERS, os.getpid()), deque()
+    try:
+        for item in items:
+            if len(pending) == _WORKERS:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, *item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            if not future.cancel():
+                future.exception()  # waits for a running call; raises nothing
+
+
+def _lane_ranges(groups: int):
+    """Split word lanes [0, groups) into ranges of a slab's codes, one lane per 8 codes."""
+    step = max(_SLAB_ELEMENTS // 8, 1)
+    return ((a, min(a + step, groups)) for a in range(0, groups, step))
+
+
 def _lane_step(w: int, k: int):
     """(shift, even mask, odd mask) of the merge of w-bit fields into 2w-bit ones.
 
@@ -258,6 +318,16 @@ def _lane_step(w: int, k: int):
     return np.uint64(w - used), np.uint64(even), np.uint64(even << w)
 
 
+def _merge_lanes(words: np.ndarray, k: int, pack: bool) -> None:
+    """Make pack_indices' merges of each uint64 lane in words, in place, or undo them."""
+    for w in (8, 16, 32) if pack else (32, 16, 8):
+        shift, even, odd = _lane_step(w, k)
+        if shift:
+            moved = (words & odd) >> shift if pack else (words << shift) & odd
+            words &= even
+            words |= moved
+
+
 def pack_indices(indices, k: int) -> bytes:
     """Pack code indices into a little-endian bitstream, k bits each.
 
@@ -265,32 +335,34 @@ def pack_indices(indices, k: int) -> bytes:
     the final byte zero-padded. Eight codes fill exactly k bytes, so each
     group of eight is loaded one code per byte into a uint64 word lane and
     merged (byte pairs, then 16- and 32-bit halves) into its low 8k bits,
-    whose low k bytes are the group's share of the stream.
+    whose low k bytes are the group's share of the stream. The merges are
+    lane by lane, so ranges of lanes run on the slab pool.
     """
     _check_bits(k)
     arr = np.asarray(indices).ravel()
     if arr.size == 0:
         return b""
-    if np.any(arr < 0) or np.any(arr >= 2**k):
+    if arr.min() < 0 or arr.max() >= 2**k:
         raise InvalidValueError(f"indices must be in [0, 2^{k})")
     groups = -(-arr.size // 8)
-    lanes = np.zeros((groups, 8), dtype=np.uint8)
-    lanes.reshape(-1)[: arr.size] = arr
-    words = lanes.view("<u8")
-    for w in (8, 16, 32):
-        shift, even, odd = _lane_step(w, k)
-        if shift:
-            moved = words & odd
-            moved >>= shift
-            words &= even
-            words |= moved
-    return lanes[:, :k].tobytes()[: -(-arr.size * k // 8)]
+    stream = np.empty(groups * k, dtype=np.uint8)
+
+    def merge(a: int, b: int) -> None:  # lanes [a, b), stream bytes [a*k, b*k)
+        lanes = np.zeros((b - a, 8), dtype=np.uint8)
+        part = arr[8 * a : 8 * b]
+        lanes.reshape(-1)[: part.size] = part
+        _merge_lanes(lanes.view("<u8"), k, pack=True)
+        stream[a * k : b * k].reshape(-1, k)[...] = lanes[:, :k]
+
+    list(_pooled(merge, _lane_ranges(groups)))
+    return stream[: -(-arr.size * k // 8)].tobytes()
 
 
 def unpack_indices(data: bytes, k: int, count: int) -> np.ndarray:
     """Inverse of pack_indices: recover `count` k-bit indices.
 
-    Each k-byte group is loaded into a uint64 lane and the merges undone.
+    Each k-byte group is loaded into a uint64 lane and the merges undone,
+    ranges of lanes on the slab pool.
     """
     _check_bits(k)
     if count == 0:
@@ -299,23 +371,18 @@ def unpack_indices(data: bytes, k: int, count: int) -> np.ndarray:
     if len(data) < needed:
         raise LengthError(f"need {needed} bytes for {count} {k}-bit indices, got {len(data)}")
     groups = -(-count // 8)
-    stream = np.zeros(groups * k, dtype=np.uint8)
-    stream[:needed] = np.frombuffer(data, dtype=np.uint8, count=needed)
+    stream = np.frombuffer(data, dtype=np.uint8, count=needed)
     lanes = np.zeros((groups, 8), dtype=np.uint8)
-    lanes[:, :k] = stream.reshape(groups, k)
-    words = lanes.view("<u8")
-    for w in (32, 16, 8):
-        shift, even, odd = _lane_step(w, k)
-        if shift:
-            moved = words << shift
-            moved &= odd
-            words &= even
-            words |= moved
+
+    def merge(a: int, b: int) -> None:  # lanes [a, b)
+        part = stream[a * k : b * k]
+        whole = part.size // k
+        lanes[a : a + whole, :k] = part[: whole * k].reshape(whole, k)
+        lanes[a + whole : b, : part.size % k] = part[whole * k :]  # the stream's last group
+        _merge_lanes(lanes[a:b].view("<u8"), k, pack=False)
+
+    list(_pooled(merge, _lane_ranges(groups)))
     return lanes.reshape(-1)[:count]
-
-
-# Elements per slab of whole blocks; bounds the encoder's and decoder's temporaries.
-_SLAB_ELEMENTS = 1 << 18
 
 
 def _kept_slabs(t: np.ndarray, dims, block_size: int):
@@ -339,11 +406,16 @@ def _kept_slabs(t: np.ndarray, dims, block_size: int):
             for r in runs]
 
 
-def _kept_values(t: np.ndarray, dims, block_size: int):
-    """The kept-row slab source: (lo, hi, blocks, x), x kept elements [lo, hi) cast to float64."""
-    for lo, hi, blocks, pieces in _kept_slabs(t, dims, block_size):
-        yield lo, hi, blocks, (pieces[0].astype(np.float64, copy=False) if len(pieces) == 1
-                               else np.concatenate(pieces, dtype=np.float64))
+def _float64(pieces) -> np.ndarray:
+    """A slab's kept elements, from its _kept_slabs pieces, cast to float64."""
+    return (pieces[0].astype(np.float64, copy=False) if len(pieces) == 1
+            else np.concatenate(pieces, dtype=np.float64))
+
+
+def _normalized_slabs(t: np.ndarray, dims, block_size: int, centered: bool):
+    """_normalize of each kept-row slab of t, on the slab pool, in slab order."""
+    return _pooled(lambda *slab: _normalize(_float64(slab[3]), block_size, centered),
+                   _kept_slabs(t, dims, block_size))
 
 
 def _block_layout(n: int, block_size: int):
@@ -352,34 +424,52 @@ def _block_layout(n: int, block_size: int):
     return starts, counts
 
 
+def _blocks(a: np.ndarray, block_size: int):
+    """(whole, short): a's whole blocks as an (n, block_size) view, and its short last block."""
+    cut = a.size - a.size % block_size
+    return a[:cut].reshape(-1, block_size), a[cut:]
+
+
+def _blockwise(op, x: np.ndarray, per_block: np.ndarray, block_size: int, out: np.ndarray):
+    """out = op(x, per_block's value of each element's block), x and out contiguous."""
+    (whole, short), (whole_out, short_out) = _blocks(x, block_size), _blocks(out, block_size)
+    op(whole, per_block[: len(whole), None], out=whole_out)
+    if short.size:
+        op(short, per_block[-1], out=short_out)
+    return out
+
+
 def _normalize(x: np.ndarray, block_size: int, centered: bool):
-    """Blockwise normalization of a slab of whole blocks.
+    """Blockwise normalization of a float64 slab of whole blocks.
 
     Returns (normalized, absmax16, means16). Means come from
     np.add.reduceat, which sums each block on its own. Blocks whose absmax
-    is zero normalize to 0.0, which looks up to the codebook's zero code.
+    is zero normalize to +0.0, which looks up to the codebook's zero code.
     """
     starts, counts = _block_layout(x.size, block_size)
-    means16 = None
+    out, means16 = np.empty_like(x), None
     if centered:
         means16 = to_float16(np.add.reduceat(x, starts) / counts)
-        x = x - np.repeat(means16.astype(np.float64), counts)
-    absmax16 = _stored16(np.maximum.reduceat(np.abs(x), starts), "block constant")
+        x = _blockwise(np.subtract, x, means16.astype(np.float64), block_size, out)
+    magnitudes = np.abs(x, out=None if centered else out)  # out is still free when uncentered
+    absmax16 = _stored16(np.maximum.reduceat(magnitudes, starts), "block constant")
     live = absmax16 > 0
     scale = np.where(live, absmax16.astype(np.float64), 1.0)
-    normalized = x / np.repeat(scale, counts)
-    if not live.all():
-        normalized[np.repeat(~live, counts)] = 0.0
+    normalized = _blockwise(np.divide, x, scale, block_size, out)
+    if not live.all():  # assigned, since a product with 0 can be -0.0
+        whole, short = _blocks(normalized, block_size)
+        whole[~live[: len(whole)]] = 0.0
+        if not live[-1]:
+            short[:] = 0.0
     return normalized, absmax16, means16
 
 
 def _decode(codebook: Codebook, codes, absmax16, means16, blocks, block_size: int) -> np.ndarray:
     """Float64 values of a slab from its codes and the binary16 absmax16/means16 of its blocks."""
-    counts = _block_layout(codes.size, block_size)[1]
     values = codebook.values[codes]
-    values *= np.repeat(absmax16[blocks].astype(np.float64), counts)
+    _blockwise(np.multiply, values, absmax16[blocks].astype(np.float64), block_size, values)
     if means16 is not None:
-        values += np.repeat(means16[blocks].astype(np.float64), counts)
+        _blockwise(np.add, values, means16[blocks].astype(np.float64), block_size, values)
     return values
 
 
@@ -387,22 +477,34 @@ def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, hel
     """Look up and pack the n kept elements of t; returns (packed, absmax16, means16).
 
     Each kept-row slab is normalized here, unless held[i] holds slab i normalized.
-    With sums (an ErrorSums) each slab is decoded and scored while it is held.
+    With sums (an ErrorSums) each slab is decoded and scored while it is held, and
+    the slabs' partial sums are folded in slab order.
     """
     block_size, n_blocks = config.block_size or max(n, 1), block_count(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
     absmax16 = np.empty(n_blocks, dtype=np.float16)
     means16 = np.empty(n_blocks, dtype=np.float16) if config.centered else None
-    for i, (lo, hi, blocks, x) in enumerate(_kept_values(t, dims, block_size)):
+
+    def encode(i: int, slab) -> tuple | None:  # writes only slab i's codes and constants
+        lo, hi, blocks, pieces = slab
+        x = _float64(pieces)
         normalized, absmax16[blocks], slab_means = (
             _normalize(x, block_size, config.centered) if held is None else held[i])
         if means16 is not None:
             means16[blocks] = slab_means
+        codes = indices[lo:hi]
         # _check_input tested the whole tensor, so the slab need not be tested again
-        indices[lo:hi] = lookup_indices(codebook, normalized, check_finite=False)
+        for a in range(0, codes.size, _LOOKUP_ELEMENTS):
+            codes[a : a + _LOOKUP_ELEMENTS] = lookup_indices(
+                codebook, normalized[a : a + _LOOKUP_ELEMENTS], check_finite=False)
         if sums is not None:
-            codes = indices[lo:hi]
-            sums.add(x, _decode(codebook, codes, absmax16, means16, blocks, block_size), codes)
+            values = _decode(codebook, codes, absmax16, means16, blocks, block_size)
+            return sums.partial(x, values, codes, spend=True)
+        return None
+
+    for partial in _pooled(encode, enumerate(_kept_slabs(t, dims, block_size))):
+        if partial is not None:
+            sums.fold(partial)
     return pack_indices(indices, config.bits), absmax16, means16
 
 
@@ -470,7 +572,7 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     n = arr.size - rows.size
     block_size, centered = configs[0].block_size or max(n, 1), configs[0].centered
     widths = {c.bits for c in configs if c.kind is CodebookKind.QUANTILE and codebook is None}
-    held = ([_normalize(x, block_size, centered) for *_, x in _kept_values(arr, dims, block_size)]
+    held = (list(_normalized_slabs(arr, dims, block_size, centered))
             if len(configs) > 1 or (widths and not dims.size) else None)
     if widths:
         quantile = _quantile_books(widths, arr, configs[0], None if dims.size else held)
@@ -533,8 +635,8 @@ def _quantile_books(widths, arr, config: QuantConfig, held=None) -> dict[int, Co
     The values are sorted once. held, the normalized slabs of all rows, saves normalizing.
     """
     block_size = config.block_size or arr.size
-    slabs = held if held is not None else (_normalize(x, block_size, config.centered)
-                                           for *_, x in _kept_values(arr, (), block_size))
+    slabs = (held if held is not None
+             else _normalized_slabs(arr, (), block_size, config.centered))
     sample, pos = np.empty(arr.size), 0
     for values, *_ in slabs:
         sample[pos : pos + values.size] = values
@@ -571,11 +673,14 @@ def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None,
     """
     codebook, indices = _checked_codes(q, codebook)  # checks q before its shape sizes anything
     out = np.empty(q.shape, dtype=dtype)
-    for lo, hi, blocks, pieces in _kept_slabs(out, q.outlier_dims, q.block_size):
+
+    def decode(lo: int, hi: int, blocks: slice, pieces) -> None:  # writes only its own pieces
         values = _decode(codebook, indices[lo:hi], q.absmax, q.means, blocks, q.block_size)
         for piece in pieces:
             piece[...] = values[: piece.size]
             values = values[piece.size :]
+
+    list(_pooled(decode, _kept_slabs(out, q.outlier_dims, q.block_size)))
     if q.outlier_dims.size:
         out[q.outlier_dims] = q.outlier_rows.reshape(-1, *q.shape[1:])
     return out

@@ -123,6 +123,12 @@ class TestErrorMetrics:
         assert len(np.unique(q.indices())) == 16
         assert report.codebook_utilization == 1.0
 
+    def test_zero_dimensional_tensor_scores_as_one_element(self):
+        q, y = self.make_quantized(np.array(-2.5), block=None)
+        one, _ = self.make_quantized(np.array([-2.5]), block=None)
+        assert error_metrics(np.array(-2.5), y, q) == error_metrics(
+            np.array([-2.5]), y.reshape(1), one)
+
     def test_shape_mismatch(self):
         x = rng(4).standard_normal(8)
         q, y = self.make_quantized(x)

@@ -58,6 +58,31 @@ class TestStoredDtypes:
             dataclasses.replace(q, codebook_values=q.codebook_values.astype(np.float32)).validate()
 
 
+class TestFieldKinds:
+    """A field that is not the tuple, config, bytes or array it should be is corrupt data,
+    not a TypeError or AttributeError from whatever reads it first."""
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("shape", [8, 16], "shape"),
+        ("config", {"kind": "int", "bits": 4}, "config"),
+        ("packed_indices", "abc", "packed_indices"),
+        ("packed_indices", np.zeros(64, np.uint8), "packed_indices"),
+        ("absmax", [1.0], "absmax"),
+        ("means", [0.0] * 8, "means"),
+        ("outlier_dims", [0], "outlier_dims"),
+        ("outlier_rows", [], "outlier_rows"),
+        ("codebook_values", [-1.0, 0.0, 1.0], "codebook"),
+    ], ids=["shape-list", "config-dict", "indices-str", "indices-array", "absmax-list",
+            "means-list", "dims-list", "rows-list", "codebook-list"])
+    def test_refused_by_validate_decoder_and_writer(self, tmp_path, field, value, named):
+        bad = dataclasses.replace(centered_int4(), **{field: value})
+        for call in (bad.validate, lambda: dequantize_tensor(bad),
+                     lambda: write_kbq({"w": bad}, tmp_path / "w.kbq")):
+            with pytest.raises(CorruptDataError, match=named):
+                call()
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSectionLengths:
     @pytest.mark.parametrize("kind", ["int", "quantile"])
     @pytest.mark.parametrize("centered", [False, True])
