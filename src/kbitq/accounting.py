@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyInputError, UndefinedCorrelationError
 from .quantizer import KBQ_SECTIONS, QuantConfig, QuantizedTensor, section_counts
-from .quantizer import _checked_codes, _decode, _float64, _kept_slabs, _pooled
+from .quantizer import _checked_codes, _decode, _float64, _kept_leaves, _merged, _pooled
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,9 @@ class ErrorSums:
     """Running error sums over one or more tensors, in the order added.
 
     A slab's sums are taken apart from the running ones (partial) and added to them
-    in slab order (fold), so slabs scored on several threads sum as one thread would.
+    in slab order (fold), so slabs scored on several threads sum as one thread would. The
+    leaves of a block longer than a slab are merged first, along numpy's pairwise-sum tree
+    (merge), so the block sums as np.sum sums it.
     """
 
     def __init__(self) -> None:
@@ -151,6 +153,14 @@ class ErrorSums:
             used = np.zeros(256, dtype=bool)  # codes have at most 8 bits
             used[codes] = True
         return a.size, signal, abs_err, max_err, sq_err, used
+
+    @staticmethod
+    def merge(left: tuple, right: tuple) -> tuple:
+        """The partial of two adjacent ones: sums added, as a pairwise sum adds its halves."""
+        (n, signal, abs_err, max_err, sq_err, used), (n2, signal2, abs2, max2, sq2, used2) = (
+            left, right)
+        return (n + n2, signal + signal2, abs_err + abs2, max(max_err, max2), sq_err + sq2,
+                None if used is None else used | used2)
 
     def fold(self, partial: tuple) -> None:
         """Add a partial's sums to the running ones."""
@@ -189,7 +199,8 @@ class ErrorSums:
             values = _decode(codebook, codes, q.absmax, q.means, blocks, q.block_size)
             return self.partial(_float64(pieces), values, codes, spend=True)
 
-        for partial in _pooled(score, _kept_slabs(a, q.outlier_dims, q.block_size)):
+        leaves = _kept_leaves(a, q.outlier_dims, q.block_size)
+        for partial in _merged(_pooled(score, leaves), q.n_quantized, q.block_size, self.merge):
             self.fold(partial)
         outliers = a[q.outlier_dims] if q.outlier_dims.size else ()
         return self.end_tensor(outliers, q.outlier_rows, len(codebook))

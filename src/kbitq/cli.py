@@ -150,14 +150,14 @@ def cmd_quantize(args) -> int:
 
 def cmd_dequantize(args) -> int:
     quantized = store.read_kbq(args.input)
-    decoded = {
-        name: quantizer.dequantize_tensor(q, dtype=np.float32) for name, q in quantized.items()
-    }
-    store.write_container(args.output, decoded)
+    # each tensor is decoded as its bytes are written, so one decoded tensor is held at a time
+    store.stream_container(
+        args.output, {name: ("F32", q.shape) for name, q in quantized.items()},
+        (quantizer.dequantize_tensor(q, dtype=np.float32) for q in quantized.values()))
     _emit(
         {
             "output": str(args.output),
-            "tensors": {name: list(v.shape) for name, v in decoded.items()},
+            "tensors": {name: list(q.shape) for name, q in quantized.items()},
         }
     )
     return 0

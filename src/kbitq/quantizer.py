@@ -10,7 +10,9 @@ which reconstructs them exactly.
 
 All operations are pure and block-independent: encoding and decoding walk
 slabs of whole blocks, on a pool of one thread per usable CPU (see _pooled),
-and no output depends on the slab size or the thread count. Lookup counts
+and no output depends on the slab size or the thread count. A block longer
+than a slab is normalized whole, then walked as leaves cut along numpy's
+pairwise-sum tree (see _leaves), so its error sums are numpy's. Lookup counts
 exact decision thresholds through a bucket table cached per codebook, and
 codes are packed eight to a uint64 word lane (see pack_indices).
 """
@@ -385,6 +387,13 @@ def unpack_indices(data: bytes, k: int, count: int) -> np.ndarray:
     return lanes.reshape(-1)[:count]
 
 
+def _slab_ranges(n: int, block_size: int):
+    """[lo, hi) of each slab of whole blocks of n elements: one block if it is longer than
+    _SLAB_ELEMENTS, else as many whole blocks as fit in _SLAB_ELEMENTS."""
+    step = block_size * max(1, _SLAB_ELEMENTS // block_size)
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def _kept_slabs(t: np.ndarray, dims, block_size: int):
     """Yield (lo, hi, blocks, pieces) of each slab of whole blocks of t's kept elements.
 
@@ -397,17 +406,66 @@ def _kept_slabs(t: np.ndarray, dims, block_size: int):
     starts, stops = np.append(0, rows + width), np.append(rows, flat.size)  # runs of kept rows
     lengths = stops - starts
     ends = np.cumsum(lengths)  # where each run ends among the kept elements
-    n, step = int(ends[-1]), block_size * max(1, _SLAB_ELEMENTS // block_size)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for lo, hi in _slab_ranges(int(ends[-1]), block_size):
         runs = range(np.searchsorted(ends, lo, "right"), np.searchsorted(ends, hi) + 1)
         yield lo, hi, slice(lo // block_size, -(-hi // block_size)), [
             flat[starts[r] + max(lo - ends[r] + lengths[r], 0) : stops[r] - max(ends[r] - hi, 0)]
             for r in runs]
 
 
+def _pairwise_tree(n: int):
+    """The halving of a pairwise sum of n values, as numpy's pairwise_sum makes it, down to
+    leaves of at most one slab: a leaf is its size, a node a (left, right) pair of subtrees.
+
+    A node's left half is n // 2 rounded down to a multiple of 8. numpy sums 128 values or
+    fewer without halving, so no leaf is cut smaller; np.sum of each leaf, added pairwise
+    along the tree, is np.sum of all n values, bit for bit.
+    """
+    if n <= max(_SLAB_ELEMENTS, 128):
+        return n
+    half = n // 2 - n // 2 % 8
+    return _pairwise_tree(half), _pairwise_tree(n - half)
+
+
+def _leaf_sizes(tree) -> list[int]:
+    return [tree] if isinstance(tree, int) else [*_leaf_sizes(tree[0]), *_leaf_sizes(tree[1])]
+
+
+def _leaves(slab):
+    """Yield (lo, hi, blocks, pieces) of each leaf of a _kept_slabs slab, in order.
+
+    A slab of at most _SLAB_ELEMENTS is one leaf; a longer one, a single block, is cut
+    along its _pairwise_tree, and each leaf's pieces are views of the slab's.
+    """
+    lo, hi, blocks, pieces = slab
+    offsets = list(itertools.accumulate((p.size for p in pieces), initial=0))
+    a = 0
+    for size in _leaf_sizes(_pairwise_tree(hi - lo)):
+        b = a + size
+        yield lo + a, lo + b, blocks, [p[max(a - s, 0) : b - s]
+                                       for p, s in zip(pieces, offsets) if s < b and a < s + p.size]
+        a = b
+
+
+def _kept_leaves(t: np.ndarray, dims, block_size: int):
+    """The _leaves of every _kept_slabs slab, in order."""
+    return itertools.chain.from_iterable(map(_leaves, _kept_slabs(t, dims, block_size)))
+
+
+def _merged(results, n: int, block_size: int, merge):
+    """One result per slab of n elements from its leaves' results (in leaf order): a leaf's
+    as it is, a split block's merged with merge(left, right) along its _pairwise_tree."""
+    results = iter(results)
+
+    def fold(tree):
+        return next(results) if isinstance(tree, int) else merge(fold(tree[0]), fold(tree[1]))
+
+    for lo, hi in _slab_ranges(n, block_size):
+        yield fold(_pairwise_tree(hi - lo))
+
+
 def _float64(pieces) -> np.ndarray:
-    """A slab's kept elements, from its _kept_slabs pieces, cast to float64."""
+    """A slab's or leaf's kept elements, from its pieces, cast to float64."""
     return (pieces[0].astype(np.float64, copy=False) if len(pieces) == 1
             else np.concatenate(pieces, dtype=np.float64))
 
@@ -476,24 +534,40 @@ def _decode(codebook: Codebook, codes, absmax16, means16, blocks, block_size: in
 def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, held=None, sums=None):
     """Look up and pack the n kept elements of t; returns (packed, absmax16, means16).
 
-    Each kept-row slab is normalized here, unless held[i] holds slab i normalized.
-    With sums (an ErrorSums) each slab is decoded and scored while it is held, and
-    the slabs' partial sums are folded in slab order.
+    Each kept-row slab is normalized in its own task, unless held[i] holds slab i normalized;
+    a block longer than a slab is normalized whole here, and its leaves (see _leaves) are
+    the tasks. With sums (an ErrorSums) each leaf is decoded and scored while it is held,
+    and each slab's partial sums, its leaves' merged along its tree, are folded in slab order.
     """
     block_size, n_blocks = config.block_size or max(n, 1), block_count(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
     absmax16 = np.empty(n_blocks, dtype=np.float16)
     means16 = np.empty(n_blocks, dtype=np.float16) if config.centered else None
 
-    def encode(i: int, slab) -> tuple | None:  # writes only slab i's codes and constants
-        lo, hi, blocks, pieces = slab
-        x = _float64(pieces)
-        normalized, absmax16[blocks], slab_means = (
-            _normalize(x, block_size, config.centered) if held is None else held[i])
+    def constants(blocks: slice, stats) -> np.ndarray:  # a slab's; returns its normalized values
+        normalized, absmax16[blocks], slab_means = stats
         if means16 is not None:
             means16[blocks] = slab_means
+        return normalized
+
+    def leaves():  # (leaf, its normalized values, or None to normalize it in its task)
+        for i, slab in enumerate(_kept_slabs(t, dims, block_size)):
+            lo, hi, blocks, pieces = slab
+            if held is None and hi - lo <= _SLAB_ELEMENTS:
+                yield slab, None
+                continue
+            normalized = constants(blocks, _normalize(_float64(pieces), block_size, config.centered)
+                                   if held is None else held[i])
+            for leaf in _leaves(slab):
+                yield leaf, normalized[leaf[0] - lo : leaf[1] - lo]
+
+    def encode(leaf, normalized) -> tuple | None:  # writes only its own codes and constants
+        lo, hi, blocks, pieces = leaf
+        x = _float64(pieces)
+        if normalized is None:
+            normalized = constants(blocks, _normalize(x, block_size, config.centered))
         codes = indices[lo:hi]
-        # _check_input tested the whole tensor, so the slab need not be tested again
+        # _check_input tested the whole tensor, so the leaf need not be tested again
         for a in range(0, codes.size, _LOOKUP_ELEMENTS):
             codes[a : a + _LOOKUP_ELEMENTS] = lookup_indices(
                 codebook, normalized[a : a + _LOOKUP_ELEMENTS], check_finite=False)
@@ -502,8 +576,11 @@ def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, hel
             return sums.partial(x, values, codes, spend=True)
         return None
 
-    for partial in _pooled(encode, enumerate(_kept_slabs(t, dims, block_size))):
-        if partial is not None:
+    results = _pooled(encode, leaves())
+    if sums is None:
+        list(results)
+    else:
+        for partial in _merged(results, n, block_size, sums.merge):
             sums.fold(partial)
     return pack_indices(indices, config.bits), absmax16, means16
 
@@ -680,7 +757,7 @@ def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None,
             piece[...] = values[: piece.size]
             values = values[piece.size :]
 
-    list(_pooled(decode, _kept_slabs(out, q.outlier_dims, q.block_size)))
+    list(_pooled(decode, _kept_leaves(out, q.outlier_dims, q.block_size)))
     if q.outlier_dims.size:
         out[q.outlier_dims] = q.outlier_rows.reshape(-1, *q.shape[1:])
     return out

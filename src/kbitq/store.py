@@ -23,6 +23,7 @@ import numpy as np
 from .codebooks import CodebookKind
 from .errors import (
     CorruptDataError,
+    DimensionError,
     FormatError,
     LengthError,
     ParseError,
@@ -114,22 +115,43 @@ def read_container(path) -> TensorContainer:
 
 def write_container(path, tensors: dict[str, np.ndarray]) -> None:
     """Write arrays as a container; float16 stays F16, everything else F32."""
+    arrays = [np.asarray(arr) for arr in tensors.values()]
+    layout = {name: ("F16" if arr.dtype == np.float16 else "F32", arr.shape)
+              for name, arr in zip(tensors, arrays)}
+    stream_container(path, layout, arrays)
+
+
+def stream_container(path, layout: dict[str, tuple[str, tuple[int, ...]]], arrays) -> None:
+    """Write a container of layout's (dtype, shape) entries, name by name, from arrays.
+
+    Each array is taken from the iterable arrays only as its bytes are written, so a
+    generator of them holds at most one at a time. An array whose shape differs from its
+    entry's, or a missing or extra one, raises DimensionError and leaves no file.
+    """
     header: dict[str, dict] = {}
-    chunks: list[memoryview] = []
     offset = 0
-    for name, arr in tensors.items():
-        arr = np.asarray(arr)
-        dtype = "F16" if arr.dtype == np.float16 else "F32"
-        raw = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
-        header[name] = {
-            "dtype": dtype,
-            "shape": list(arr.shape),
-            "data_offsets": [offset, offset + raw.nbytes],
-        }
-        chunks.append(memoryview(raw))
-        offset += raw.nbytes
+    for name, (dtype, shape) in layout.items():
+        nbytes = math.prod(shape) * _DTYPES[dtype].itemsize
+        header[name] = {"dtype": dtype, "shape": list(shape),
+                        "data_offsets": [offset, offset + nbytes]}
+        offset += nbytes
     encoded = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    _write_atomically(path, [struct.pack("<Q", len(encoded)), encoded, *chunks])
+
+    def chunks():  # no zip: its reused result tuple would hold each array until the next
+        yield struct.pack("<Q", len(encoded))
+        yield encoded
+        entries = iter(layout.values())
+        for arr in arrays:
+            dtype, shape = next(entries, ("F32", None))  # None: more arrays than entries
+            if np.shape(arr) != shape:
+                raise DimensionError(f"an array of shape {np.shape(arr)} for {shape}")
+            raw = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])  # a 0-d array comes out 1-d
+            yield memoryview(raw)
+            del arr, raw  # so that none of this array is held while the next one is made
+        if next(entries, None) is not None:
+            raise DimensionError("fewer arrays than container entries")
+
+    _write_atomically(path, chunks())
 
 
 def _write_atomically(path, chunks) -> None:

@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from kbitq import (
     write_container,
     write_kbq,
 )
-from kbitq.errors import CorruptDataError, FormatError, LengthError, ParseError
+from kbitq.errors import CorruptDataError, DimensionError, FormatError, LengthError, ParseError
 from kbitq import store
 from kbitq.store import KBQ_MAGIC
 
@@ -104,6 +105,38 @@ class TestContainer:
         path.write_bytes(container_bytes(header, b"\0" * 8))
         with pytest.raises(ParseError):
             read_container(path)
+
+
+class TestStreamContainer:
+    """stream_container writes write_container's bytes, taking each array only as it is
+    written, so a generator of arrays holds one at a time."""
+
+    def test_holds_one_array_at_a_time_and_writes_the_same_bytes(self, tmp_path):
+        shapes = {"a": (3, 4), "s": (), "b": (0, 2), "c": (5,)}
+        made = []
+
+        def arrays():
+            for i, shape in enumerate(shapes.values()):
+                assert all(ref() is None for ref in made)  # the last one is already freed
+                arr = np.full(shape, i + 0.5, dtype=np.float64)
+                made.append(weakref.ref(arr))
+                yield arr
+                del arr
+
+        store.stream_container(tmp_path / "s.st", {n: ("F32", s) for n, s in shapes.items()},
+                               arrays())
+        write_container(tmp_path / "w.st", {name: np.full(shape, i + 0.5, dtype=np.float32)
+                                            for i, (name, shape) in enumerate(shapes.items())})
+        assert (tmp_path / "s.st").read_bytes() == (tmp_path / "w.st").read_bytes()
+
+    @pytest.mark.parametrize("arrays", [[np.zeros(3), np.zeros((2, 2))], [np.zeros(3)],
+                                        [np.zeros(3), np.zeros(4), np.zeros(1)]],
+                             ids=["wrong-shape", "too-few", "too-many"])
+    def test_arrays_that_miss_the_layout_leave_no_file(self, tmp_path, arrays):
+        with pytest.raises(DimensionError):
+            store.stream_container(tmp_path / "s.st", {"a": ("F32", (3,)), "b": ("F16", (4,))},
+                                   iter(arrays))
+        assert list(tmp_path.iterdir()) == []
 
 
 def quantize_fixture(kind="int", bits=4, block=64, centered=False, outliers=0, salt=0):

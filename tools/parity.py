@@ -9,7 +9,8 @@ revision, each revision in a fresh interpreter that imports its own
 `src/`: quantize, dequantize and `inspect` (with and without `--against`)
 for every codebook kind, a few widths and block sizes, centering and
 outlier rows; a chained F16 pair wider than one slab; a 0-d tensor and a
-container with no tensors; sweep grids (a 144-config one among them);
+container with no tensors; sweep grids (a 144-config one, and one whose
+whole blocks are longer than a slab, among them);
 `codebook`; `scaling-fit`; and the usage, runtime and format errors. The inputs are written
 by this script, not by kbitq, so both revisions read the same bytes.
 
@@ -125,6 +126,9 @@ def battery() -> list[list[list[str]]]:
         [["quantize", "t.kbq", "--synthetic", "gaussian", "--shape", "96", "--dtype", "float",
           "--exponent-bits", "1", "--bits", "5"]],
         [["sweep", chain, *SWEEP_144]],
+        # whole blocks of 600000 kept elements, each cut into leaves of at most one slab
+        [["sweep", "../inputs/wide.st", "--dtype", "int,quantile", "--bits", "3,8",
+          "--block-size", "64,whole", "--centered", "0,1", "--outlier-p", "0,0.05"]],
         [["sweep", "--synthetic", "student-t", "--seed", "7", "--shape", "256x256",
           "--bits", "3,4,8", "--dtype", "int,float,quantile", "--block-size", "64,whole"]],
         [["sweep", "--synthetic", "gaussian", "--shape", "64x64,64x64", "--dtype",
