@@ -119,17 +119,15 @@ def total_model_bits(tensors) -> int:
 class ErrorSums:
     """Running error sums over one or more tensors, in the order added.
 
-    A slab's sums are taken apart from the running ones (partial) and added to them
-    in slab order (fold), so slabs scored on several threads sum as one thread would. The
-    leaves of a block longer than a slab are merged first, along numpy's pairwise-sum tree
-    (merge), so the block sums as np.sum sums it.
+    The running sums are one partial. A slab's partial is taken apart from them and merged
+    into them in slab order (fold), so slabs scored on several threads sum as one thread
+    would. The leaves of a block longer than a slab are merged first, along numpy's
+    pairwise-sum tree, so the block sums as np.sum sums it.
     """
 
     def __init__(self) -> None:
-        self.n = 0
-        self.signal = self.abs_err = self.sq_err = self.max_abs_error = 0.0
+        self.sums = (0, 0.0, 0.0, 0.0, 0.0, None)  # mask None: none marked, count_nonzero 0
         self.code_use = None  # (codes used, codes in the book) of the last tensor ended
-        self._used = None  # which codes the current tensor's slabs used so far
 
     @staticmethod
     def partial(original, dequantized, codes=None, spend=False) -> tuple:
@@ -148,11 +146,7 @@ class ErrorSums:
         abs_err, max_err = float(np.sum(err)), float(np.max(err, initial=0.0))
         sq_err = float(np.sum(np.square(err, out=err)))
         signal = float(np.sum(np.square(a, out=err)))
-        used = None
-        if codes is not None:
-            used = np.zeros(256, dtype=bool)  # codes have at most 8 bits
-            used[codes] = True
-        return a.size, signal, abs_err, max_err, sq_err, used
+        return a.size, signal, abs_err, max_err, sq_err, None if codes is None else _marked(codes)
 
     @staticmethod
     def merge(left: tuple, right: tuple) -> tuple:
@@ -160,28 +154,18 @@ class ErrorSums:
         (n, signal, abs_err, max_err, sq_err, used), (n2, signal2, abs2, max2, sq2, used2) = (
             left, right)
         return (n + n2, signal + signal2, abs_err + abs2, max(max_err, max2), sq_err + sq2,
-                None if used is None else used | used2)
+                used2 if used is None else used if used2 is None else used | used2)
 
-    def fold(self, partial: tuple) -> None:
-        """Add a partial's sums to the running ones."""
-        n, signal, abs_err, max_err, sq_err, used = partial
-        self.n += n
-        self.signal += signal
-        self.abs_err += abs_err
-        self.max_abs_error = max(self.max_abs_error, max_err)
-        self.sq_err += sq_err
-        if used is not None:
-            self._used = used if self._used is None else self._used | used
-
-    def add(self, original, dequantized, codes=None) -> None:
-        """Add one tensor and its reconstruction, or a slab of one decoded from codes."""
-        self.fold(self.partial(original, dequantized, codes))
+    def fold(self, partials, n: int, block_size: int) -> None:
+        """Merge the partials of the leaves of n kept elements (see quantizer._kept_leaves),
+        given in leaf order, into the running sums: each slab's along its tree, then in order."""
+        for partial in _merged(partials, n, block_size, self.merge):
+            self.sums = self.merge(self.sums, partial)
 
     def end_tensor(self, outliers, rows, n_codes: int) -> tuple[int, int]:
         """Add the tensor's outlier rows after its slabs; returns and keeps its code_use."""
-        self.add(np.ravel(outliers), np.ravel(rows))
-        used = 0 if self._used is None else int(np.count_nonzero(self._used))
-        self.code_use, self._used = (used, n_codes), None
+        *sums, used = self.merge(self.sums, self.partial(np.ravel(outliers), np.ravel(rows)))
+        self.sums, self.code_use = (*sums, None), (int(np.count_nonzero(used)), n_codes)
         return self.code_use
 
     def add_quantized(self, original, q: QuantizedTensor) -> tuple[int, int]:
@@ -200,17 +184,17 @@ class ErrorSums:
             return self.partial(_float64(pieces), values, codes, spend=True)
 
         leaves = _kept_leaves(a, q.outlier_dims, q.block_size)
-        for partial in _merged(_pooled(score, leaves), q.n_quantized, q.block_size, self.merge):
-            self.fold(partial)
+        self.fold(_pooled(score, leaves), q.n_quantized, q.block_size)
         outliers = a[q.outlier_dims] if q.outlier_dims.size else ()
         return self.end_tensor(outliers, q.outlier_rows, len(codebook))
 
     def report(self, codebook_utilization: float) -> ErrorReport:
         """Means, maximum and SNR over every element added so far."""
-        if self.n == 0:
+        n, signal, abs_err, max_err, sq_err, _ = self.sums
+        if n == 0:
             return ErrorReport(None, None, None, None, True, codebook_utilization)
-        signal = self.signal / self.n
-        err_power = self.sq_err / self.n
+        signal /= n
+        err_power = sq_err / n
         lossless = err_power == 0.0
         if lossless or signal == 0.0:
             # lossless has no finite ratio; zero signal has no meaningful one
@@ -218,9 +202,9 @@ class ErrorSums:
         else:
             snr = float(10.0 * np.log10(signal / err_power))
         return ErrorReport(
-            mae=self.abs_err / self.n,
+            mae=abs_err / n,
             mse=err_power,
-            max_abs_error=self.max_abs_error,
+            max_abs_error=max_err,
             snr_db=snr,
             lossless=lossless,
             codebook_utilization=codebook_utilization,
@@ -230,7 +214,7 @@ class ErrorSums:
 def error_metrics(original, dequantized, q: QuantizedTensor) -> ErrorReport:
     """Compare a tensor against its reconstruction."""
     sums = ErrorSums()
-    sums.add(original, dequantized)
+    sums.sums = sums.merge(sums.sums, sums.partial(original, dequantized))
     used, n_codes = code_use(q)
     return sums.report(used / n_codes)
 
@@ -238,7 +222,14 @@ def error_metrics(original, dequantized, q: QuantizedTensor) -> ErrorReport:
 def code_use(q: QuantizedTensor) -> tuple[int, int]:
     """(codes used by at least one element, codes in its codebook), checked as the decoder does."""
     codebook, codes = _checked_codes(q)
-    return int(np.count_nonzero(np.bincount(codes, minlength=len(codebook)))), len(codebook)
+    return int(np.count_nonzero(_marked(codes))), len(codebook)
+
+
+def _marked(codes) -> np.ndarray:
+    """Which of the 256 codes of at most 8 bits occur in codes: a mask, with no copy of them."""
+    used = np.zeros(256, dtype=bool)
+    used[codes] = True
+    return used
 
 
 def pearson_correlation(x, y) -> float:

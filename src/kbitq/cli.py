@@ -301,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="k-bit weight quantization toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = list(quantizer._QUANTIZABLE_KINDS)  # in QuantConfig's order
+    widths = range(codebooks.MIN_BITS, codebooks.MAX_BITS + 1)
 
     def add_config_flags(p, sweep=False):
         if sweep:
@@ -310,12 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--centered", default="0", help="comma list of 0/1")
             p.add_argument("--outlier-p", default="0", help="comma list of fractions")
         else:
-            p.add_argument("--bits", type=int, choices=range(2, 9), default=4, metavar="K")
-            p.add_argument(
-                "--dtype",
-                choices=[k.value for k in CodebookKind if k is not CodebookKind.UINT],
-                default="int",
-            )
+            p.add_argument("--bits", type=int, choices=widths, default=4, metavar="K")
+            p.add_argument("--dtype", choices=kinds, default="int")
             p.add_argument("--exponent-bits", type=int, default=None, metavar="E")
             p.add_argument("--block-size", type=_parse_block_size, default=None, metavar="B")
             p.add_argument("--centered", action="store_true")
@@ -343,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.set_defaults(func=cmd_inspect)
 
     p_code = sub.add_parser("codebook", help="print a codebook's value set as JSON")
-    p_code.add_argument("--kind", required=True, choices=["int", "float", "dynamic", "quantile"])
-    p_code.add_argument("--bits", type=int, choices=range(2, 9), required=True, metavar="K")
+    p_code.add_argument("--kind", required=True, choices=kinds)
+    p_code.add_argument("--bits", type=int, choices=widths, required=True, metavar="K")
     p_code.add_argument("--exponent-bits", type=int, default=None, metavar="E")
     p_code.add_argument("--sample", default=None, help="container supplying the quantile sample")
     p_code.set_defaults(func=cmd_codebook)

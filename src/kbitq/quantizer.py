@@ -140,7 +140,7 @@ class QuantizedTensor:
 
     @property
     def block_size(self) -> int:
-        return self.config.block_size or max(self.n_quantized, 1)
+        return _block_length(self.n_quantized, self.config.block_size)
 
     @property
     def n_blocks(self) -> int:
@@ -208,9 +208,14 @@ class QuantizedTensor:
         return mine.keys() == theirs.keys() and all(same(v, theirs[k]) for k, v in mine.items())
 
 
+def _block_length(n: int, block_size: int | None) -> int:
+    """Elements per block of n: block_size None is one block of all of them (one if n is 0)."""
+    return block_size or max(n, 1)
+
+
 def block_count(n: int, block_size: int | None) -> int:
-    """Blocks covering n elements; block_size None is one block of all of them."""
-    return -(-n // (block_size or max(n, 1)))
+    """Blocks covering n elements (see _block_length)."""
+    return -(-n // _block_length(n, block_size))
 
 
 def to_float16(x) -> np.ndarray:
@@ -476,12 +481,6 @@ def _normalized_slabs(t: np.ndarray, dims, block_size: int, centered: bool):
                    _kept_slabs(t, dims, block_size))
 
 
-def _block_layout(n: int, block_size: int):
-    starts = np.arange(0, n, block_size)
-    counts = np.diff(np.append(starts, n))
-    return starts, counts
-
-
 def _blocks(a: np.ndarray, block_size: int):
     """(whole, short): a's whole blocks as an (n, block_size) view, and its short last block."""
     cut = a.size - a.size % block_size
@@ -504,10 +503,9 @@ def _normalize(x: np.ndarray, block_size: int, centered: bool):
     np.add.reduceat, which sums each block on its own. Blocks whose absmax
     is zero normalize to +0.0, which looks up to the codebook's zero code.
     """
-    starts, counts = _block_layout(x.size, block_size)
-    out, means16 = np.empty_like(x), None
+    starts, out, means16 = np.arange(0, x.size, block_size), np.empty_like(x), None
     if centered:
-        means16 = to_float16(np.add.reduceat(x, starts) / counts)
+        means16 = to_float16(np.add.reduceat(x, starts) / np.diff(np.append(starts, x.size)))
         x = _blockwise(np.subtract, x, means16.astype(np.float64), block_size, out)
     magnitudes = np.abs(x, out=None if centered else out)  # out is still free when uncentered
     absmax16 = _stored16(np.maximum.reduceat(magnitudes, starts), "block constant")
@@ -539,10 +537,10 @@ def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, hel
     the tasks. With sums (an ErrorSums) each leaf is decoded and scored while it is held,
     and each slab's partial sums, its leaves' merged along its tree, are folded in slab order.
     """
-    block_size, n_blocks = config.block_size or max(n, 1), block_count(n, config.block_size)
+    block_size = _block_length(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
-    absmax16 = np.empty(n_blocks, dtype=np.float16)
-    means16 = np.empty(n_blocks, dtype=np.float16) if config.centered else None
+    absmax16 = np.empty(block_count(n, block_size), dtype=np.float16)
+    means16 = np.empty_like(absmax16) if config.centered else None
 
     def constants(blocks: slice, stats) -> np.ndarray:  # a slab's; returns its normalized values
         normalized, absmax16[blocks], slab_means = stats
@@ -580,8 +578,7 @@ def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, hel
     if sums is None:
         list(results)
     else:
-        for partial in _merged(results, n, block_size, sums.merge):
-            sums.fold(partial)
+        sums.fold(results, n, block_size)
     return pack_indices(indices, config.bits), absmax16, means16
 
 
@@ -647,7 +644,7 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     outliers = arr[dims] if dims.size else np.zeros(0)
     rows = _stored16(outliers, "outlier value").reshape(dims.size, -1 if dims.size else 0)
     n = arr.size - rows.size
-    block_size, centered = configs[0].block_size or max(n, 1), configs[0].centered
+    block_size, centered = _block_length(n, configs[0].block_size), configs[0].centered
     widths = {c.bits for c in configs if c.kind is CodebookKind.QUANTILE and codebook is None}
     held = (list(_normalized_slabs(arr, dims, block_size, centered))
             if len(configs) > 1 or (widths and not dims.size) else None)
@@ -711,9 +708,8 @@ def _quantile_books(widths, arr, config: QuantConfig, held=None) -> dict[int, Co
 
     The values are sorted once. held, the normalized slabs of all rows, saves normalizing.
     """
-    block_size = config.block_size or arr.size
-    slabs = (held if held is not None
-             else _normalized_slabs(arr, (), block_size, config.centered))
+    block_size = _block_length(arr.size, config.block_size)
+    slabs = held if held is not None else _normalized_slabs(arr, (), block_size, config.centered)
     sample, pos = np.empty(arr.size), 0
     for values, *_ in slabs:
         sample[pos : pos + values.size] = values

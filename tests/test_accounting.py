@@ -1,5 +1,7 @@
 """Bit-cost arithmetic, error metrics, and correlation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,14 @@ from kbitq import (
     quantize_tensor,
     total_model_bits,
 )
-from kbitq.accounting import code_use
+from kbitq.accounting import ErrorSums, code_use
 from kbitq.errors import (
     CorruptDataError,
     DimensionError,
     EmptyInputError,
     UndefinedCorrelationError,
 )
-from kbitq.quantizer import pack_indices
+from kbitq.quantizer import QuantizedTensor, pack_indices
 
 
 def rng(salt=0):
@@ -152,6 +154,59 @@ class TestErrorMetrics:
                      lambda: dequantize_tensor(q)):
             with pytest.raises(CorruptDataError, match="index 15 out of range"):
                 call()
+
+
+class TestErrorSumsMerge:
+    def partials(self):
+        a, b = rng(7).standard_normal(40), rng(8).standard_normal(40)
+        codes = np.arange(40) % 5
+        return ErrorSums.partial(a, b), ErrorSums.partial(a[::-1], b, codes + 3)
+
+    def test_a_missing_mask_on_either_side_keeps_the_other(self):
+        bare, marked = self.partials()
+        for left, right in ((bare, marked), (marked, bare)):
+            merged = ErrorSums.merge(left, right)
+            assert merged[0] == 80 and merged[3] == max(bare[3], marked[3])
+            assert np.array_equal(merged[5], marked[5])
+            assert np.flatnonzero(merged[5]).tolist() == [3, 4, 5, 6, 7]
+
+    def test_no_mask_on_either_side_stays_none(self):
+        bare, _ = self.partials()
+        merged = ErrorSums.merge(bare, bare)
+        assert merged[:5] == (80, 2 * bare[1], 2 * bare[2], bare[3], 2 * bare[4])
+        assert merged[5] is None
+
+    def test_masks_on_both_sides_are_joined(self):
+        _, marked = self.partials()
+        other = ErrorSums.partial(np.zeros(2), np.zeros(2), np.array([0, 255]))
+        merged = ErrorSums.merge(marked, other)
+        assert np.flatnonzero(merged[5]).tolist() == [0, 3, 4, 5, 6, 7, 255]
+
+
+class TestCodeUse:
+    @pytest.mark.parametrize("bits", [3, 4, 8])
+    @pytest.mark.parametrize("kind", ["int", "float", "dynamic", "quantile"])
+    def test_counts_the_distinct_codes(self, kind, bits):
+        x = rng(bits).standard_t(3, 3000)
+        x[:500] = np.round(x[:500])  # repeats leave some codes unused at 8 bits
+        q = quantize_tensor(x, None, QuantConfig(kind=kind, bits=bits, block_size=50))
+        assert code_use(q) == (np.unique(q.indices()).size, len(codebook_for(x, q.config)))
+
+    def test_marks_codes_without_copying_them(self):
+        """A 2^22-code int4 tensor is counted in under 2 bytes per code: the unpacked codes
+        and a mask of them, not an intp copy of every code."""
+        n = 1 << 22
+        codes = rng(9).integers(0, 15, n, dtype=np.uint8)
+        q = QuantizedTensor((n,), QuantConfig(kind="int", bits=4, block_size=64),
+                            pack_indices(codes, 4), n, np.ones(n // 64, np.float16), None,
+                            np.zeros(0, np.int32), np.zeros(0, np.float16))
+        tracemalloc.start()
+        try:
+            assert code_use(q) == (15, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n
 
 
 class TestPearsonCorrelation:
