@@ -77,7 +77,9 @@ def _detect_outliers(tensors: dict[str, np.ndarray], p: float) -> dict[str, tupl
 
     Tensors are treated, in container order, as maximal chains of linear
     layers wherever the output count of one matrix equals the input count
-    of the next. The first layer of each chain gets no outlier treatment.
+    of the next. The first layer of each chain gets no outlier treatment. A chain
+    that holds an empty matrix is not ranked: quantizing that matrix fails, in
+    container order.
     """
     dims = dict.fromkeys(tensors, ())
     if p <= 0:
@@ -89,8 +91,9 @@ def _detect_outliers(tensors: dict[str, np.ndarray], p: float) -> dict[str, tupl
         elif arr.ndim == 2:
             chains.append([name])
     for chain in chains:
-        detected = outliers.detect_outlier_dims([tensors[n] for n in chain], p)
-        dims.update(zip(chain, detected.per_layer))
+        if all(tensors[name].size for name in chain):
+            detected = outliers.detect_outlier_dims([tensors[n] for n in chain], p)
+            dims.update(zip(chain, detected.per_layer))
     return dims
 
 

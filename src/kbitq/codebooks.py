@@ -161,9 +161,16 @@ class Codebook:
         return start.astype(np.uint8), np.append(t, np.full((1 << probes) - 1, np.inf)), probes
 
 
-def cell_index(x: np.ndarray, n: int) -> np.ndarray:
-    """Cell of x among n equal cells of [-1, 1] (x >= 1: cell n); monotone, clipped first."""
-    return ((np.clip(x, -1.0, 1.0) + 1.0) * (n / 2)).astype(np.intp)
+def cell_index(x: np.ndarray, n: int, out=None, scratch=None) -> np.ndarray:
+    """Cell of x among n equal cells of [-1, 1] (x >= 1: cell n); monotone, clipped first.
+    out (intp) and scratch (float64), if given, take the cells and the scaled x."""
+    scaled = np.clip(x, -1.0, 1.0, out=scratch)
+    scaled += 1.0
+    scaled *= n / 2
+    if out is None:
+        return scaled.astype(np.intp)
+    np.copyto(out, scaled, casting="unsafe")
+    return out
 
 
 def _ordered_key(bits: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quantizer
 from .codebooks import Codebook
 from .errors import (
     DimensionError,
@@ -28,7 +29,7 @@ class LayerChain:
     """An ordered sequence of 2-D weight matrices W_i of shape (h_i, o_i).
 
     Consecutive layers must chain: the o_i output units of W_i feed the
-    h_{i+1} input dimensions of W_{i+1}.
+    h_{i+1} input dimensions of W_{i+1}. No layer is empty.
     """
 
     def __init__(self, weights) -> None:
@@ -38,6 +39,8 @@ class LayerChain:
         for i, w in enumerate(mats):
             if w.ndim != 2:
                 raise DimensionError(f"layer {i} is not 2-D (shape {w.shape})")
+            if w.size == 0:  # its std would divide by zero rows, or rank no units
+                raise EmptyInputError(f"layer {i} is empty (shape {w.shape})")
         for i in range(len(mats) - 1):
             if mats[i].shape[1] != mats[i + 1].shape[0]:
                 raise DimensionError(
@@ -68,6 +71,35 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _column_stds(w: np.ndarray) -> np.ndarray:
+    """np.asarray(w, np.float64).std(axis=0) of a 2-D layer, bit for bit, in column slabs.
+
+    Slabs of about _SLAB_ELEMENTS elements run on the slab pool, each cast into the thread's
+    workspace and taken through numpy's _var steps there, in place. numpy sums a column row
+    after row, as over the whole layer, unless a slab holds it alone (then pairwise), so no
+    slab of a wider layer holds one column. numpy reduces other layouts in other orders, so
+    a layer whose rows are not C-contiguous is cast whole.
+    """
+    if not w.flags.c_contiguous:
+        return np.asarray(w, dtype=np.float64).std(axis=0)
+    h, o = w.shape
+    stds = np.empty(o)
+    # an even split into slabs of at most max(4, ...) columns gives each slab 2 or more
+    count = -(-o // max(4, quantizer._SLAB_ELEMENTS // h))
+    bounds = [o * i // count for i in range(count + 1)]
+
+    def std(a: int, b: int) -> None:  # writes only stds[a:b]
+        x, out = quantizer._scratch("x", h * (b - a)).reshape(h, b - a), stds[a:b]
+        np.copyto(x, w[:, a:b])
+        mean = out.reshape(1, -1)  # out holds the column means until the sums replace them
+        np.divide(np.add.reduce(x, axis=0, keepdims=True, out=mean), np.intp(h), out=mean)
+        np.square(np.subtract(x, mean, out=x), out=x)
+        np.sqrt(np.divide(np.add.reduce(x, axis=0, out=out), np.intp(h), out=out), out=out)
+
+    list(quantizer._pooled(std, zip(bounds[:-1], bounds[1:])))
+    return stds
+
+
 def detect_outlier_dims(chain: LayerChain, p: float) -> OutlierSet:
     """Mark the top-p fraction of hidden units of each layer by weight std.
 
@@ -83,7 +115,7 @@ def detect_outlier_dims(chain: LayerChain, p: float) -> OutlierSet:
         raise InvalidFractionError(f"outlier fraction must be in [0, 1), got {p}")
     per_layer = [np.zeros(0, dtype=np.int32)]
     for w in chain.weights[:-1] if len(chain) > 1 else []:
-        stds = np.asarray(w, dtype=np.float64).std(axis=0)  # one layer cast at a time
+        stds = _column_stds(w)
         count = _round_half_up(p * stds.size)
         # stable sort on descending std keeps the lower index on ties
         order = np.argsort(-stds, kind="stable")

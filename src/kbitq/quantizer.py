@@ -10,7 +10,8 @@ which reconstructs them exactly.
 
 All operations are pure and block-independent: encoding and decoding walk
 slabs of whole blocks, on a pool of one thread per usable CPU (see _pooled),
-and no output depends on the slab size or the thread count. A block longer
+and no output depends on the slab size or the thread count. Each thread keeps
+its slab-sized temporaries in one reusable workspace (see _scratch). A block longer
 than a slab is normalized whole, then walked as leaves cut along numpy's
 pairwise-sum tree (see _leaves), so its error sums are numpy's. Lookup counts
 exact decision thresholds through a bucket table cached per codebook, and
@@ -23,6 +24,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -236,7 +238,7 @@ def _stored16(x, what: str) -> np.ndarray:
     return to_float16(x)
 
 
-def lookup_indices(codebook: Codebook, x, check_finite: bool = True) -> np.ndarray:
+def lookup_indices(codebook: Codebook, x, check_finite: bool = True, out=None) -> np.ndarray:
     """Nearest-code index for each element, ties toward the smaller index.
 
     The index is the number of Codebook.thresholds strictly below the
@@ -245,15 +247,30 @@ def lookup_indices(codebook: Codebook, x, check_finite: bool = True) -> np.ndarr
     those inside it. The thresholds are exact, so this equals the two-sided rule
     (x - v[j]) <= (v[j+1] - x) bit for bit, ties included; out-of-range x clamps.
     check_finite=False skips the finiteness test, for values the caller has tested.
+    The elements are looked up in chunks of _LOOKUP_ELEMENTS, whose temporaries live in
+    this thread's workspace (see _scratch). out, a C-contiguous integer array of x's shape,
+    receives the indices and is returned; None returns a new intp array.
     """
     arr = np.asarray(x, dtype=np.float64)
     if check_finite and not np.all(np.isfinite(arr)):
         raise InvalidValueError("cannot look up non-finite values")
+    out = np.empty(arr.shape, dtype=np.intp) if out is None else out
     start, padded, probes = codebook.cells
-    pos = start.take(cell_index(arr, start.size - 1)).astype(np.intp)
-    for i in reversed(range(probes)):
-        pos += (padded[(1 << i) - 1 :].take(pos) < arr).view(np.uint8) << i
-    return pos
+    values, indices = arr.reshape(-1), out.reshape(-1)
+    for a in range(0, values.size, _LOOKUP_ELEMENTS):
+        chunk = values[a : a + _LOOKUP_ELEMENTS]
+        m = chunk.size
+        work, hits = _scratch("spare", 2 * m), _scratch("index", m, np.uint8)
+        scaled, pos = work[:m], work[m:].view(np.intp)[:m]  # an intp is at most 8 bytes
+        cell_index(chunk, start.size - 1, pos, scaled)
+        # pos is in range; mode "clip" writes straight into out, where "raise" would buffer it
+        np.copyto(pos, start.take(pos, out=hits, mode="clip"))
+        for i in reversed(range(probes)):
+            bound = padded[(1 << i) - 1 :].take(pos, out=scaled, mode="clip")
+            np.less(bound, chunk, out=hits.view(np.bool_))
+            pos += np.left_shift(hits, i, out=hits)
+        indices[a : a + m] = pos
+    return out
 
 
 def lookup_index(codebook: Codebook, x: float) -> int:
@@ -263,11 +280,38 @@ def lookup_index(codebook: Codebook, x: float) -> int:
 
 # Elements per slab of whole blocks; bounds the encoder's and decoder's temporaries.
 _SLAB_ELEMENTS = 1 << 18
-# Elements per lookup_indices call; bounds the lookup's temporaries within a slab.
+# Elements per chunk of lookup_indices; bounds the lookup's temporaries within a slab.
 _LOOKUP_ELEMENTS = 1 << 16
+# Codes per chunk of _decode's gather, widened to intp first: 64 KiB, as the lookup's hits.
+_GATHER_ELEMENTS = 1 << 13
 # Threads of the slab pool: the CPUs this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+# Each thread's reusable slab buffers, by slot name (see _scratch).
+_workspace = threading.local()
+
+
+def _scratch(slot: str, n: int, dtype=np.float64) -> np.ndarray:
+    """n elements of dtype in this thread's buffer for slot, reused by every slab it works on.
+
+    Slab tasks keep their slab-sized temporaries here: glibc maps a request of 128 KiB or
+    more afresh unless an earlier free raised its dynamic threshold, and each slab would
+    then fault those pages in anew. A buffer grows to the largest request of at most
+    _SLAB_ELEMENTS elements; a longer one (a block normalized whole) gets a new array. The
+    contents last until this thread next asks for the slot, so no result may outlive its task.
+    Slots: "x", a task's input in float64 or its packing lanes; "normalized"; "spare", one
+    temporary at a time in task order (finiteness mask, centered magnitudes, the lookup's
+    scaled values and positions, decoded values, lane merges); "index", the lookup's hits
+    or the intp codes of _decode's gather. Fewer buffers touch fewer pages.
+    """
+    if n > _SLAB_ELEMENTS:
+        return np.empty(n, dtype)
+    size = n * np.dtype(dtype).itemsize
+    buffers = vars(_workspace)  # this thread's own
+    buf = buffers.get(slot)
+    if buf is None or buf.size < size:
+        buf = buffers[slot] = np.empty(size, dtype=np.uint8)
+    return buf[:size].view(dtype)
 
 
 @functools.cache
@@ -327,10 +371,14 @@ def _lane_step(w: int, k: int):
 
 def _merge_lanes(words: np.ndarray, k: int, pack: bool) -> None:
     """Make pack_indices' merges of each uint64 lane in words, in place, or undo them."""
+    moved = _scratch("spare", words.size, np.uint64).reshape(words.shape)
     for w in (8, 16, 32) if pack else (32, 16, 8):
         shift, even, odd = _lane_step(w, k)
         if shift:
-            moved = (words & odd) >> shift if pack else (words << shift) & odd
+            if pack:
+                np.right_shift(np.bitwise_and(words, odd, out=moved), shift, out=moved)
+            else:
+                np.bitwise_and(np.left_shift(words, shift, out=moved), odd, out=moved)
             words &= even
             words |= moved
 
@@ -355,11 +403,12 @@ def pack_indices(indices, k: int) -> bytes:
     stream = np.empty(groups * k, dtype=np.uint8)
 
     def merge(a: int, b: int) -> None:  # lanes [a, b), stream bytes [a*k, b*k)
-        lanes = np.zeros((b - a, 8), dtype=np.uint8)
+        lanes = _scratch("x", 8 * (b - a), np.uint8)
         part = arr[8 * a : 8 * b]
-        lanes.reshape(-1)[: part.size] = part
+        lanes[: part.size] = part
+        lanes[part.size :] = 0
         _merge_lanes(lanes.view("<u8"), k, pack=True)
-        stream[a * k : b * k].reshape(-1, k)[...] = lanes[:, :k]
+        stream[a * k : b * k].reshape(-1, k)[...] = lanes.reshape(-1, 8)[:, :k]
 
     list(_pooled(merge, _lane_ranges(groups)))
     return stream[: -(-arr.size * k // 8)].tobytes()
@@ -469,16 +518,32 @@ def _merged(results, n: int, block_size: int, merge):
         yield fold(_pairwise_tree(hi - lo))
 
 
-def _float64(pieces) -> np.ndarray:
-    """A slab's or leaf's kept elements, from its pieces, cast to float64."""
-    return (pieces[0].astype(np.float64, copy=False) if len(pieces) == 1
-            else np.concatenate(pieces, dtype=np.float64))
+def _check_finite(x: np.ndarray) -> None:
+    """Raise InvalidValueError at a NaN or infinity in x, a slab or a tensor's outlier rows."""
+    if not np.isfinite(x.reshape(-1), out=_scratch("spare", x.size, np.bool_)).all():
+        raise InvalidValueError("tensor contains non-finite values")
 
 
-def _normalized_slabs(t: np.ndarray, dims, block_size: int, centered: bool):
-    """_normalize of each kept-row slab of t, on the slab pool, in slab order."""
-    return _pooled(lambda *slab: _normalize(_float64(slab[3]), block_size, centered),
-                   _kept_slabs(t, dims, block_size))
+def _float64(pieces, finite: bool = False) -> np.ndarray:
+    """A slab's or leaf's kept elements, from its pieces, in float64: one float64 piece as it
+    is, others cast into this thread's workspace. finite=True, in the first pass over a
+    tensor's slabs, tests the slab with _check_finite."""
+    if len(pieces) == 1 and pieces[0].dtype == np.float64:
+        x = pieces[0]
+    else:
+        x = np.concatenate(pieces, out=_scratch("x", sum(p.size for p in pieces)))
+    if finite:
+        _check_finite(x)
+    return x
+
+
+def _normalized_slabs(t: np.ndarray, dims, block_size: int, centered: bool, out: np.ndarray):
+    """_normalize each kept-row slab of t, on the slab pool, into its span of out, t's kept
+    elements; yields each slab's (normalized, absmax16, means16) in slab order. This is the
+    first pass over the slabs, so each is tested finite."""
+    return _pooled(lambda lo, hi, blocks, pieces: _normalize(
+        _float64(pieces, finite=True), block_size, centered, out[lo:hi]),
+        _kept_slabs(t, dims, block_size))
 
 
 def _blocks(a: np.ndarray, block_size: int):
@@ -496,18 +561,20 @@ def _blockwise(op, x: np.ndarray, per_block: np.ndarray, block_size: int, out: n
     return out
 
 
-def _normalize(x: np.ndarray, block_size: int, centered: bool):
+def _normalize(x: np.ndarray, block_size: int, centered: bool, out=None):
     """Blockwise normalization of a float64 slab of whole blocks.
 
-    Returns (normalized, absmax16, means16). Means come from
-    np.add.reduceat, which sums each block on its own. Blocks whose absmax
-    is zero normalize to +0.0, which looks up to the codebook's zero code.
+    Returns (normalized, absmax16, means16), normalized written into out (a new array if
+    None). Means come from np.add.reduceat, which sums each block on its own. Blocks whose
+    absmax is zero normalize to +0.0, which looks up to the codebook's zero code.
     """
-    starts, out, means16 = np.arange(0, x.size, block_size), np.empty_like(x), None
+    starts, means16 = np.arange(0, x.size, block_size), None
+    out = np.empty_like(x) if out is None else out
     if centered:
         means16 = to_float16(np.add.reduceat(x, starts) / np.diff(np.append(starts, x.size)))
         x = _blockwise(np.subtract, x, means16.astype(np.float64), block_size, out)
-    magnitudes = np.abs(x, out=None if centered else out)  # out is still free when uncentered
+    # out is still free when uncentered; centered, it holds x
+    magnitudes = np.abs(x, out=_scratch("spare", x.size) if centered else out)
     absmax16 = _stored16(np.maximum.reduceat(magnitudes, starts), "block constant")
     live = absmax16 > 0
     scale = np.where(live, absmax16.astype(np.float64), 1.0)
@@ -521,8 +588,15 @@ def _normalize(x: np.ndarray, block_size: int, centered: bool):
 
 
 def _decode(codebook: Codebook, codes, absmax16, means16, blocks, block_size: int) -> np.ndarray:
-    """Float64 values of a slab from its codes and the binary16 absmax16/means16 of its blocks."""
-    values = codebook.values[codes]
+    """Float64 values of a slab from its codes and the binary16 absmax16/means16 of its blocks,
+    in this thread's spare buffer. Each chunk of codes is widened to intp in the workspace, so
+    np.take makes no copy of it."""
+    values = _scratch("spare", codes.size)
+    for a in range(0, codes.size, _GATHER_ELEMENTS):
+        chunk = codes[a : a + _GATHER_ELEMENTS]
+        positions = _scratch("index", chunk.size, np.intp)
+        np.copyto(positions, chunk)
+        codebook.values.take(positions, out=values[a : a + chunk.size], mode="clip")
     _blockwise(np.multiply, values, absmax16[blocks].astype(np.float64), block_size, values)
     if means16 is not None:
         _blockwise(np.add, values, means16[blocks].astype(np.float64), block_size, values)
@@ -554,21 +628,19 @@ def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, hel
             if held is None and hi - lo <= _SLAB_ELEMENTS:
                 yield slab, None
                 continue
-            normalized = constants(blocks, _normalize(_float64(pieces), block_size, config.centered)
-                                   if held is None else held[i])
+            normalized = constants(blocks, held[i] if held is not None else _normalize(
+                _float64(pieces, finite=True), block_size, config.centered))
             for leaf in _leaves(slab):
                 yield leaf, normalized[leaf[0] - lo : leaf[1] - lo]
 
     def encode(leaf, normalized) -> tuple | None:  # writes only its own codes and constants
         lo, hi, blocks, pieces = leaf
-        x = _float64(pieces)
+        # a slab is tested finite on its first pass: here, unless it was normalized before
+        x = _float64(pieces, finite=normalized is None)
         if normalized is None:
-            normalized = constants(blocks, _normalize(x, block_size, config.centered))
-        codes = indices[lo:hi]
-        # _check_input tested the whole tensor, so the leaf need not be tested again
-        for a in range(0, codes.size, _LOOKUP_ELEMENTS):
-            codes[a : a + _LOOKUP_ELEMENTS] = lookup_indices(
-                codebook, normalized[a : a + _LOOKUP_ELEMENTS], check_finite=False)
+            normalized = constants(blocks, _normalize(x, block_size, config.centered,
+                                                      _scratch("normalized", x.size)))
+        codes = lookup_indices(codebook, normalized, check_finite=False, out=indices[lo:hi])
         if sums is not None:
             values = _decode(codebook, codes, absmax16, means16, blocks, block_size)
             return sums.partial(x, values, codes, spend=True)
@@ -583,12 +655,11 @@ def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, hel
 
 
 def _check_input(t) -> np.ndarray:
-    """t as a non-empty, finite array: a float ndarray as it is, anything else in float64."""
+    """t as a non-empty array: a float ndarray as it is, anything else in float64. Its values
+    are tested finite slab by slab, in the first pass over them (see _float64)."""
     arr = t if type(t) is np.ndarray and t.dtype.kind == "f" else np.asarray(t, dtype=np.float64)
     if arr.size == 0:
         raise EmptyInputError("cannot quantize an empty tensor")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidValueError("tensor contains non-finite values")
     return arr
 
 
@@ -642,14 +713,17 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
         raise InvalidIndexError(f"outlier rows must be integers in [0, {n_rows}), got {dims}")
     dims = np.unique(dims).astype(np.int32)  # only once checked: the cast wraps rows >= 2^31
     outliers = arr[dims] if dims.size else np.zeros(0)
+    _check_finite(outliers)  # no slab holds these rows; _stored16 lets NaN through
     rows = _stored16(outliers, "outlier value").reshape(dims.size, -1 if dims.size else 0)
     n = arr.size - rows.size
     block_size, centered = _block_length(n, configs[0].block_size), configs[0].centered
     widths = {c.bits for c in configs if c.kind is CodebookKind.QUANTILE and codebook is None}
-    held = (list(_normalized_slabs(arr, dims, block_size, centered))
-            if len(configs) > 1 or (widths and not dims.size) else None)
+    held = normalized = None
+    if len(configs) > 1 or (widths and not dims.size):
+        normalized = np.empty(n)
+        held = list(_normalized_slabs(arr, dims, block_size, centered, normalized))
     if widths:
-        quantile = _quantile_books(widths, arr, configs[0], None if dims.size else held)
+        quantile = _quantile_books(widths, arr, configs[0], None if dims.size else normalized)
     for config, config_sums in zip(configs, sums or [None] * len(configs)):
         is_quantile = config.kind is CodebookKind.QUANTILE
         book = codebook or (quantile[config.bits] if is_quantile else codebook_for(arr, config))
@@ -703,17 +777,17 @@ def codebook_for(t, config: QuantConfig) -> Codebook:
     return _quantile_books([config.bits], _check_input(t), config)[config.bits]
 
 
-def _quantile_books(widths, arr, config: QuantConfig, held=None) -> dict[int, Codebook]:
+def _quantile_books(widths, arr, config: QuantConfig, normalized=None) -> dict[int, Codebook]:
     """Quantile codebook of each width from all of arr's rows normalized under config.
 
-    The values are sorted once. held, the normalized slabs of all rows, saves normalizing.
+    The values are sorted once, in a copy of normalized when that holds them all already.
     """
-    block_size = _block_length(arr.size, config.block_size)
-    slabs = held if held is not None else _normalized_slabs(arr, (), block_size, config.centered)
-    sample, pos = np.empty(arr.size), 0
-    for values, *_ in slabs:
-        sample[pos : pos + values.size] = values
-        pos += values.size
+    if normalized is None:
+        sample = np.empty(arr.size)
+        block_size = _block_length(arr.size, config.block_size)
+        list(_normalized_slabs(arr, (), block_size, config.centered, sample))
+    else:
+        sample = normalized.copy()
     sample.sort()
     if not (sample[0] or sample[-1]):
         raise InvalidValueError("cannot estimate a quantile codebook from an all-zero tensor")

@@ -1,5 +1,8 @@
 """Outlier-dimension detection and mixed-precision quantization."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,11 @@ from kbitq import (
     codebook_for,
     dequantize_tensor,
     detect_outlier_dims,
+    outliers,
     quantize_mixed,
     quantize_tensor,
+    quantizer,
+    write_container,
 )
 from kbitq.accounting import ErrorSums
 from kbitq.codebooks import FloatSpec
@@ -24,6 +30,7 @@ from kbitq.errors import (
     InvalidSpecError,
 )
 from kbitq.quantizer import to_float16
+from test_cli import run_cli
 
 
 def rng(salt=0):
@@ -103,6 +110,72 @@ class TestDetection:
         r = rng(5)
         detected = detect_outlier_dims([r.standard_normal((8, 6)), r.standard_normal((6, 8))], 0.5)
         assert detected[1].size == 3
+
+
+class TestEmptyLayer:
+    """A chain layer with no weights is refused before any std is taken: a std over no rows
+    is NaN, and numpy warns twice on the way."""
+
+    @pytest.mark.parametrize("shapes, empty", [
+        ([(0, 4), (4, 3)], 0), ([(5, 4), (4, 0), (0, 3)], 1), ([(5, 4), (4, 3), (3, 0)], 2)])
+    def test_refused_before_any_std(self, monkeypatch, shapes, empty):
+        def no_std(w):
+            raise AssertionError("a std was taken")
+
+        monkeypatch.setattr(outliers, "_column_stds", no_std)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyInputError, match=f"layer {empty} is empty"):
+                detect_outlier_dims([np.zeros(shape) for shape in shapes], 0.5)
+
+    @pytest.mark.parametrize("command", ["quantize", "sweep"])
+    def test_cli_reports_the_empty_tensor_alone(self, capsys, tmp_path, command):
+        write_container(tmp_path / "in.st", {"up": np.zeros((0, 4), np.float32),
+                                             "down": np.ones((4, 3), np.float32)})
+        argv = [command, tmp_path / "in.st", "--outlier-p", "0.5"]
+        if command == "quantize":
+            argv.insert(2, tmp_path / "out.kbq")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_cli(capsys, *argv)
+        assert result == (1, "", f"kbitq {command}: cannot quantize an empty tensor\n")
+        assert caught == []
+
+
+class TestColumnSlabStd:
+    """Detection takes each layer's std in column slabs of about one slab, on the slab pool;
+    the stds equal numpy's whole-layer std in float64 bit for bit, at any number of workers."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(768, 3072), (3072, 768), (1, 5), (5, 1), (2, 300000)],
+                             ids=["768x3072", "3072x768", "1x5", "5x1", "row-wider-than-a-slab"])
+    def test_equals_the_whole_layer_std(self, monkeypatch, workers, dtype, shape):
+        monkeypatch.setattr(quantizer, "_WORKERS", workers)
+        w = (rng(shape[0]).standard_normal(shape) * 0.02 + 0.5).astype(dtype)
+        w[:, ::97] *= 8.0
+        stds = np.asarray(w, dtype=np.float64).std(axis=0)
+        assert outliers._column_stds(w).tobytes() == stds.tobytes()
+        count = int(np.floor(0.3 * shape[1] + 0.5))
+        expected = np.sort(np.argsort(-stds, kind="stable")[:count])
+        detected = detect_outlier_dims([w, np.ones((shape[1], 2), dtype)], 0.3)
+        assert detected[1].tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_split_of_a_narrow_layer(self, monkeypatch, workers):
+        """A slab of 1 to 7 columns' elements over 2 to 40 columns: none holds a lone one."""
+        monkeypatch.setattr(quantizer, "_WORKERS", workers)
+        for h, step in itertools.product((300, 301), (1, 2, 3, 4, 5, 7)):
+            monkeypatch.setattr(quantizer, "_SLAB_ELEMENTS", h * step)
+            for o in range(2, 41):
+                w = rng(o).standard_normal((h, o)) * 3.0 + 1e3
+                stds = np.asarray(w, dtype=np.float64).std(axis=0)
+                assert outliers._column_stds(w).tobytes() == stds.tobytes(), (h, o)
+
+    def test_a_layer_of_another_layout_is_cast_whole(self):
+        w = rng(14).standard_normal((3000, 700)).astype(np.float32).T  # rows not contiguous
+        stds = np.asarray(w, dtype=np.float64).std(axis=0)
+        assert outliers._column_stds(w).tobytes() == stds.tobytes()
 
 
 class TestQuantizeMixed:
