@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyInputError, UndefinedCorrelationError
 from .quantizer import KBQ_SECTIONS, QuantConfig, QuantizedTensor, section_counts
-from .quantizer import _checked_codes, _decode, _float64, _kept_leaves, _merged, _pooled
+from .quantizer import _checked_codes, _decode, _float64, _kept_leaves, _merged, _pooled, _widened
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,10 @@ class ErrorSums:
         self.code_use = None  # (codes used, codes in the book) of the last tensor ended
 
     @staticmethod
-    def partial(original, dequantized, codes=None, spend=False) -> tuple:
+    def partial(original, dequantized, codes=None, spend=False, signal=None) -> tuple:
         """(n, signal, abs, max and squared error, codes used or None) of one tensor or slab.
 
-        spend=True lets the sums overwrite dequantized, a float64 array, instead of a temporary.
+        spend=True lets the sums overwrite dequantized (float64); a signal given is not summed.
         """
         a = np.asarray(original, dtype=np.float64)
         b = np.asarray(dequantized, dtype=np.float64)
@@ -145,7 +145,7 @@ class ErrorSums:
         np.abs(err, out=err)
         abs_err, max_err = float(np.sum(err)), float(np.max(err, initial=0.0))
         sq_err = float(np.sum(np.square(err, out=err)))
-        signal = float(np.sum(np.square(a, out=err)))
+        signal = float(np.sum(np.square(a, out=err))) if signal is None else signal
         return a.size, signal, abs_err, max_err, sq_err, None if codes is None else _marked(codes)
 
     @staticmethod
@@ -226,9 +226,10 @@ def code_use(q: QuantizedTensor) -> tuple[int, int]:
 
 
 def _marked(codes) -> np.ndarray:
-    """Which of the 256 codes of at most 8 bits occur in codes: a mask, with no copy of them."""
+    """Which of the 256 codes of at most 8 bits occur in codes: a mask, marked chunk by chunk."""
     used = np.zeros(256, dtype=bool)
-    used[codes] = True
+    for _, positions in _widened(np.ravel(codes)):
+        used[positions] = True
     return used
 
 

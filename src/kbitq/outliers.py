@@ -17,11 +17,7 @@ import numpy as np
 
 from . import quantizer
 from .codebooks import Codebook
-from .errors import (
-    DimensionError,
-    EmptyInputError,
-    InvalidFractionError,
-)
+from .errors import DimensionError, EmptyInputError, InvalidFractionError, InvalidValueError
 from .quantizer import QuantConfig, QuantizedTensor, quantize_group
 
 
@@ -78,12 +74,10 @@ def _column_stds(w: np.ndarray) -> np.ndarray:
     workspace and taken through numpy's _var steps there, in place. numpy sums a column row
     after row, as over the whole layer, unless a slab holds it alone (then pairwise), so no
     slab of a wider layer holds one column. numpy reduces other layouts in other orders, so
-    a layer whose rows are not C-contiguous is cast whole.
+    a layer whose rows are not C-contiguous is cast whole. A column holding a NaN or an
+    infinity has a NaN std, with no warning, and raises InvalidValueError.
     """
-    if not w.flags.c_contiguous:
-        return np.asarray(w, dtype=np.float64).std(axis=0)
     h, o = w.shape
-    stds = np.empty(o)
     # an even split into slabs of at most max(4, ...) columns gives each slab 2 or more
     count = -(-o // max(4, quantizer._SLAB_ELEMENTS // h))
     bounds = [o * i // count for i in range(count + 1)]
@@ -92,11 +86,19 @@ def _column_stds(w: np.ndarray) -> np.ndarray:
         x, out = quantizer._scratch("x", h * (b - a)).reshape(h, b - a), stds[a:b]
         np.copyto(x, w[:, a:b])
         mean = out.reshape(1, -1)  # out holds the column means until the sums replace them
-        np.divide(np.add.reduce(x, axis=0, keepdims=True, out=mean), np.intp(h), out=mean)
-        np.square(np.subtract(x, mean, out=x), out=x)
-        np.sqrt(np.divide(np.add.reduce(x, axis=0, out=out), np.intp(h), out=out), out=out)
+        with np.errstate(invalid="ignore"):  # here: each pool thread keeps its own errstate
+            np.divide(np.add.reduce(x, axis=0, keepdims=True, out=mean), np.intp(h), out=mean)
+            np.square(np.subtract(x, mean, out=x), out=x)
+            np.sqrt(np.divide(np.add.reduce(x, axis=0, out=out), np.intp(h), out=out), out=out)
 
-    list(quantizer._pooled(std, zip(bounds[:-1], bounds[1:])))
+    if w.flags.c_contiguous:
+        stds = np.empty(o)
+        list(quantizer._pooled(std, zip(bounds[:-1], bounds[1:])))
+    else:
+        with np.errstate(invalid="ignore"):
+            stds = np.asarray(w, dtype=np.float64).std(axis=0)
+    if np.isnan(stds).any():
+        raise InvalidValueError("tensor contains non-finite values")
     return stds
 
 

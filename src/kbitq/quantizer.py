@@ -13,7 +13,8 @@ slabs of whole blocks, on a pool of one thread per usable CPU (see _pooled),
 and no output depends on the slab size or the thread count. Each thread keeps
 its slab-sized temporaries in one reusable workspace (see _scratch). A block longer
 than a slab is normalized whole, then walked as leaves cut along numpy's
-pairwise-sum tree (see _leaves), so its error sums are numpy's. Lookup counts
+pairwise-sum tree (see _leaves), so its error sums are numpy's. Lookup, gather
+and code marks take a slab in chunks of 2^16 (see _CHUNK_ELEMENTS). Lookup counts
 exact decision thresholds through a bucket table cached per codebook, and
 codes are packed eight to a uint64 word lane (see pack_indices).
 """
@@ -247,7 +248,7 @@ def lookup_indices(codebook: Codebook, x, check_finite: bool = True, out=None) -
     those inside it. The thresholds are exact, so this equals the two-sided rule
     (x - v[j]) <= (v[j+1] - x) bit for bit, ties included; out-of-range x clamps.
     check_finite=False skips the finiteness test, for values the caller has tested.
-    The elements are looked up in chunks of _LOOKUP_ELEMENTS, whose temporaries live in
+    The elements are looked up in chunks of _CHUNK_ELEMENTS, whose temporaries live in
     this thread's workspace (see _scratch). out, a C-contiguous integer array of x's shape,
     receives the indices and is returned; None returns a new intp array.
     """
@@ -257,8 +258,8 @@ def lookup_indices(codebook: Codebook, x, check_finite: bool = True, out=None) -
     out = np.empty(arr.shape, dtype=np.intp) if out is None else out
     start, padded, probes = codebook.cells
     values, indices = arr.reshape(-1), out.reshape(-1)
-    for a in range(0, values.size, _LOOKUP_ELEMENTS):
-        chunk = values[a : a + _LOOKUP_ELEMENTS]
+    for a in range(0, values.size, _CHUNK_ELEMENTS):
+        chunk = values[a : a + _CHUNK_ELEMENTS]
         m = chunk.size
         work, hits = _scratch("spare", 2 * m), _scratch("index", m, np.uint8)
         scaled, pos = work[:m], work[m:].view(np.intp)[:m]  # an intp is at most 8 bytes
@@ -280,10 +281,10 @@ def lookup_index(codebook: Codebook, x: float) -> int:
 
 # Elements per slab of whole blocks; bounds the encoder's and decoder's temporaries.
 _SLAB_ELEMENTS = 1 << 18
-# Elements per chunk of lookup_indices; bounds the lookup's temporaries within a slab.
-_LOOKUP_ELEMENTS = 1 << 16
-# Codes per chunk of _decode's gather, widened to intp first: 64 KiB, as the lookup's hits.
-_GATHER_ELEMENTS = 1 << 13
+# Elements per chunk of a slab task's lookup, gather and code marks: numpy releases and
+# retakes the GIL around each call, so pool threads contend less on fewer, larger calls.
+# A chunk's intp positions (see _widened) take 512 KiB of the workspace.
+_CHUNK_ELEMENTS = 1 << 16
 # Threads of the slab pool: the CPUs this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -298,11 +299,12 @@ def _scratch(slot: str, n: int, dtype=np.float64) -> np.ndarray:
     more afresh unless an earlier free raised its dynamic threshold, and each slab would
     then fault those pages in anew. A buffer grows to the largest request of at most
     _SLAB_ELEMENTS elements; a longer one (a block normalized whole) gets a new array. The
-    contents last until this thread next asks for the slot, so no result may outlive its task.
+    contents last until this thread next asks for the slot, so no result may outlive its task,
+    and the buffers as long as the thread: a pool thread's, like the main thread's, until exit.
     Slots: "x", a task's input in float64 or its packing lanes; "normalized"; "spare", one
     temporary at a time in task order (finiteness mask, centered magnitudes, the lookup's
-    scaled values and positions, decoded values, lane merges); "index", the lookup's hits
-    or the intp codes of _decode's gather. Fewer buffers touch fewer pages.
+    scaled values and positions, decoded values, lane merges); "index", the lookup's uint8
+    hits or a chunk's intp codes (see _widened). Fewer buffers touch fewer pages.
     """
     if n > _SLAB_ELEMENTS:
         return np.empty(n, dtype)
@@ -587,29 +589,34 @@ def _normalize(x: np.ndarray, block_size: int, centered: bool, out=None):
     return normalized, absmax16, means16
 
 
+def _widened(codes: np.ndarray):
+    """Yield (start, intp copy in this thread's index buffer) of each chunk of 1-D codes."""
+    for a in range(0, codes.size, _CHUNK_ELEMENTS):
+        positions = _scratch("index", min(codes.size - a, _CHUNK_ELEMENTS), np.intp)
+        np.copyto(positions, codes[a : a + positions.size])
+        yield a, positions
+
+
 def _decode(codebook: Codebook, codes, absmax16, means16, blocks, block_size: int) -> np.ndarray:
     """Float64 values of a slab from its codes and the binary16 absmax16/means16 of its blocks,
-    in this thread's spare buffer. Each chunk of codes is widened to intp in the workspace, so
-    np.take makes no copy of it."""
+    in this thread's spare buffer, gathered chunk by chunk (see _widened)."""
     values = _scratch("spare", codes.size)
-    for a in range(0, codes.size, _GATHER_ELEMENTS):
-        chunk = codes[a : a + _GATHER_ELEMENTS]
-        positions = _scratch("index", chunk.size, np.intp)
-        np.copyto(positions, chunk)
-        codebook.values.take(positions, out=values[a : a + chunk.size], mode="clip")
+    for a, positions in _widened(codes):
+        codebook.values.take(positions, out=values[a : a + positions.size], mode="clip")
     _blockwise(np.multiply, values, absmax16[blocks].astype(np.float64), block_size, values)
     if means16 is not None:
         _blockwise(np.add, values, means16[blocks].astype(np.float64), block_size, values)
     return values
 
 
-def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, held=None, sums=None):
+def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, held, sums, signals):
     """Look up and pack the n kept elements of t; returns (packed, absmax16, means16).
 
     Each kept-row slab is normalized in its own task, unless held[i] holds slab i normalized;
     a block longer than a slab is normalized whole here, and its leaves (see _leaves) are
     the tasks. With sums (an ErrorSums) each leaf is decoded and scored while it is held,
-    and each slab's partial sums, its leaves' merged along its tree, are folded in slab order.
+    and each slab's partial sums, its leaves' merged along its tree, are folded in slab order;
+    signals keeps each leaf's signal sum by its start, for the group's later configs.
     """
     block_size = _block_length(n, config.block_size)
     indices = np.empty(n, dtype=np.uint8)
@@ -643,7 +650,9 @@ def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, hel
         codes = lookup_indices(codebook, normalized, check_finite=False, out=indices[lo:hi])
         if sums is not None:
             values = _decode(codebook, codes, absmax16, means16, blocks, block_size)
-            return sums.partial(x, values, codes, spend=True)
+            partial = sums.partial(x, values, codes, spend=True, signal=signals.get(lo))
+            signals[lo] = partial[1]
+            return partial
         return None
 
     results = _pooled(encode, leaves())
@@ -699,7 +708,8 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     more than one pass reads them. Without a codebook each config takes its own; every
     quantile width comes from one sort of codebook_for's sample. A codebook given must be
     the one every config calls for. sums holds an ErrorSums per config: each slab is
-    scored as it is encoded, the outlier rows last, and code_use is set before q is yielded.
+    scored as it is encoded, the outlier rows last, and code_use is set before q is yielded;
+    each leaf's signal sum is taken for the first config scored and reused by the others.
     """
     if not configs or len({(c.block_size, c.centered) for c in configs}) > 1:
         raise InvalidSpecError("a group needs one or more configs of one block size and centering")
@@ -718,7 +728,7 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     n = arr.size - rows.size
     block_size, centered = _block_length(n, configs[0].block_size), configs[0].centered
     widths = {c.bits for c in configs if c.kind is CodebookKind.QUANTILE and codebook is None}
-    held = normalized = None
+    held, normalized, signals = None, None, {}  # signals: see _encode_blocks
     if len(configs) > 1 or (widths and not dims.size):
         normalized = np.empty(n)
         held = list(_normalized_slabs(arr, dims, block_size, centered, normalized))
@@ -727,7 +737,8 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     for config, config_sums in zip(configs, sums or [None] * len(configs)):
         is_quantile = config.kind is CodebookKind.QUANTILE
         book = codebook or (quantile[config.bits] if is_quantile else codebook_for(arr, config))
-        packed, absmax16, means16 = _encode_blocks(arr, dims, n, book, config, held, config_sums)
+        packed, absmax16, means16 = _encode_blocks(arr, dims, n, book, config, held, config_sums,
+                                                   signals)
         if config_sums is not None:
             config_sums.end_tensor(outliers, rows, len(book))
         yield QuantizedTensor(
