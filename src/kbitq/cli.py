@@ -228,7 +228,7 @@ def cmd_sweep(args) -> int:
     tensors = _load_input(args.paths, args)
     if not tensors:  # only a container can hold none
         raise EmptyInputError(f"{args.paths[0]}: the container holds no tensors")
-    # every config reads every tensor: cast each to float64 once, not once per slab per config
+    # every group reads every tensor: cast each to float64 once, not once per slab per group
     tensors = {name: np.asarray(arr, dtype=np.float64) for name, arr in tensors.items()}
 
     try:

@@ -75,7 +75,8 @@ def _column_stds(w: np.ndarray) -> np.ndarray:
     after row, as over the whole layer, unless a slab holds it alone (then pairwise), so no
     slab of a wider layer holds one column. numpy reduces other layouts in other orders, so
     a layer whose rows are not C-contiguous is cast whole. A column holding a NaN or an
-    infinity has a NaN std, with no warning, and raises InvalidValueError.
+    infinity has a NaN std, with no warning, and raises InvalidValueError; one whose squares
+    pass the float64 range has numpy's inf std, also with no warning, and ranks first.
     """
     h, o = w.shape
     # an even split into slabs of at most max(4, ...) columns gives each slab 2 or more
@@ -86,7 +87,7 @@ def _column_stds(w: np.ndarray) -> np.ndarray:
         x, out = quantizer._scratch("x", h * (b - a)).reshape(h, b - a), stds[a:b]
         np.copyto(x, w[:, a:b])
         mean = out.reshape(1, -1)  # out holds the column means until the sums replace them
-        with np.errstate(invalid="ignore"):  # here: each pool thread keeps its own errstate
+        with np.errstate(invalid="ignore", over="ignore"):  # each pool thread keeps its own
             np.divide(np.add.reduce(x, axis=0, keepdims=True, out=mean), np.intp(h), out=mean)
             np.square(np.subtract(x, mean, out=x), out=x)
             np.sqrt(np.divide(np.add.reduce(x, axis=0, out=out), np.intp(h), out=out), out=out)
@@ -95,7 +96,7 @@ def _column_stds(w: np.ndarray) -> np.ndarray:
         stds = np.empty(o)
         list(quantizer._pooled(std, zip(bounds[:-1], bounds[1:])))
     else:
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             stds = np.asarray(w, dtype=np.float64).std(axis=0)
     if np.isnan(stds).any():
         raise InvalidValueError("tensor contains non-finite values")

@@ -11,12 +11,14 @@ which reconstructs them exactly.
 All operations are pure and block-independent: encoding and decoding walk
 slabs of whole blocks, on a pool of one thread per usable CPU (see _pooled),
 and no output depends on the slab size or the thread count. Each thread keeps
-its slab-sized temporaries in one reusable workspace (see _scratch). A block longer
-than a slab is normalized whole, then walked as leaves cut along numpy's
-pairwise-sum tree (see _leaves), so its error sums are numpy's. Lookup, gather
-and code marks take a slab in chunks of 2^16 (see _CHUNK_ELEMENTS). Lookup counts
-exact decision thresholds through a bucket table cached per codebook, and
-codes are packed eight to a uint64 word lane (see pack_indices).
+its slab-sized temporaries in one reusable workspace (see _scratch). The configs
+of a sweep group share one walk: each slab is normalized once and looked up under
+every config (see _encode_blocks). A block longer than a slab is normalized whole,
+then walked as leaves cut along numpy's pairwise-sum tree (see _leaves), so its
+error sums are numpy's. Lookup, gather and code marks take a slab in chunks of
+2^16 (see _CHUNK_ELEMENTS). Lookup counts exact decision thresholds through a
+bucket table cached per codebook, and codes are packed eight to a uint64 word
+lane (see pack_indices).
 """
 
 from __future__ import annotations
@@ -539,15 +541,6 @@ def _float64(pieces, finite: bool = False) -> np.ndarray:
     return x
 
 
-def _normalized_slabs(t: np.ndarray, dims, block_size: int, centered: bool, out: np.ndarray):
-    """_normalize each kept-row slab of t, on the slab pool, into its span of out, t's kept
-    elements; yields each slab's (normalized, absmax16, means16) in slab order. This is the
-    first pass over the slabs, so each is tested finite."""
-    return _pooled(lambda lo, hi, blocks, pieces: _normalize(
-        _float64(pieces, finite=True), block_size, centered, out[lo:hi]),
-        _kept_slabs(t, dims, block_size))
-
-
 def _blocks(a: np.ndarray, block_size: int):
     """(whole, short): a's whole blocks as an (n, block_size) view, and its short last block."""
     cut = a.size - a.size % block_size
@@ -609,19 +602,21 @@ def _decode(codebook: Codebook, codes, absmax16, means16, blocks, block_size: in
     return values
 
 
-def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, held, sums, signals):
-    """Look up and pack the n kept elements of t; returns (packed, absmax16, means16).
+def _encode_blocks(t, dims, n: int, books, configs, sums):
+    """Look up the n kept elements of t under each config's book in one walk of its slabs;
+    returns (each config's codes, absmax16, means16), the constants all configs share.
 
-    Each kept-row slab is normalized in its own task, unless held[i] holds slab i normalized;
-    a block longer than a slab is normalized whole here, and its leaves (see _leaves) are
-    the tasks. With sums (an ErrorSums) each leaf is decoded and scored while it is held,
-    and each slab's partial sums, its leaves' merged along its tree, are folded in slab order;
-    signals keeps each leaf's signal sum by its start, for the group's later configs.
+    Each kept-row slab is normalized once, in its own task, and looked up under every config
+    while it is in the thread's workspace; a block longer than a slab is normalized whole
+    here, and its leaves (see _leaves) are the tasks. With a config's sums (an ErrorSums, or
+    None) each leaf is decoded and scored in its task, its signal summed once for all configs.
+    Each config's partials, a slab's leaves merged along its tree, are folded in slab order
+    after the walk, so a fault in any slab leaves every ErrorSums as it was.
     """
-    block_size = _block_length(n, config.block_size)
-    indices = np.empty(n, dtype=np.uint8)
+    block_size, centered = _block_length(n, configs[0].block_size), configs[0].centered
+    codes = [np.empty(n, dtype=np.uint8) for _ in configs]
     absmax16 = np.empty(block_count(n, block_size), dtype=np.float16)
-    means16 = np.empty_like(absmax16) if config.centered else None
+    means16 = np.empty_like(absmax16) if centered else None
 
     def constants(blocks: slice, stats) -> np.ndarray:  # a slab's; returns its normalized values
         normalized, absmax16[blocks], slab_means = stats
@@ -630,37 +625,38 @@ def _encode_blocks(t, dims, n: int, codebook: Codebook, config: QuantConfig, hel
         return normalized
 
     def leaves():  # (leaf, its normalized values, or None to normalize it in its task)
-        for i, slab in enumerate(_kept_slabs(t, dims, block_size)):
+        for slab in _kept_slabs(t, dims, block_size):
             lo, hi, blocks, pieces = slab
-            if held is None and hi - lo <= _SLAB_ELEMENTS:
+            if hi - lo <= _SLAB_ELEMENTS:
                 yield slab, None
                 continue
-            normalized = constants(blocks, held[i] if held is not None else _normalize(
-                _float64(pieces, finite=True), block_size, config.centered))
+            normalized = constants(blocks, _normalize(_float64(pieces, finite=True), block_size,
+                                                      centered))
             for leaf in _leaves(slab):
                 yield leaf, normalized[leaf[0] - lo : leaf[1] - lo]
 
-    def encode(leaf, normalized) -> tuple | None:  # writes only its own codes and constants
+    def encode(leaf, normalized) -> list:  # writes only its own codes and constants
         lo, hi, blocks, pieces = leaf
-        # a slab is tested finite on its first pass: here, unless it was normalized before
-        x = _float64(pieces, finite=normalized is None)
+        x = _float64(pieces, finite=normalized is None)  # a slab is tested on its first pass
         if normalized is None:
-            normalized = constants(blocks, _normalize(x, block_size, config.centered,
+            normalized = constants(blocks, _normalize(x, block_size, centered,
                                                       _scratch("normalized", x.size)))
-        codes = lookup_indices(codebook, normalized, check_finite=False, out=indices[lo:hi])
-        if sums is not None:
-            values = _decode(codebook, codes, absmax16, means16, blocks, block_size)
-            partial = sums.partial(x, values, codes, spend=True, signal=signals.get(lo))
-            signals[lo] = partial[1]
-            return partial
-        return None
+        partials, signal = [], None
+        for book, out, config_sums in zip(books, codes, sums):
+            leaf_codes = lookup_indices(book, normalized, check_finite=False, out=out[lo:hi])
+            partial = None
+            if config_sums is not None:
+                values = _decode(book, leaf_codes, absmax16, means16, blocks, block_size)
+                partial = config_sums.partial(x, values, leaf_codes, spend=True, signal=signal)
+                signal = partial[1]
+            partials.append(partial)
+        return partials
 
-    results = _pooled(encode, leaves())
-    if sums is None:
-        list(results)
-    else:
-        sums.fold(results, n, block_size)
-    return pack_indices(indices, config.bits), absmax16, means16
+    per_leaf = list(_pooled(encode, leaves()))  # the whole walk, before any sums change
+    for config_sums, partials in zip(sums, zip(*per_leaf)):
+        if config_sums is not None:
+            config_sums.fold(partials, n, block_size)
+    return codes, absmax16, means16
 
 
 def _check_input(t) -> np.ndarray:
@@ -693,9 +689,8 @@ def quantize_tensor(t, codebook: Codebook | None, config: QuantConfig,
                     sums=None) -> QuantizedTensor:
     """Quantize a tensor of any shape with no outlier sidecar.
 
-    codebook None is the config's own; a quantile one is then estimated from the
-    normalized values the lookup reuses, where codebook_for's are normalized anew.
-    With sums (an ErrorSums) the tensor is scored as it is encoded (see quantize_group).
+    codebook None is the config's own; a quantile one is estimated as codebook_for estimates
+    it. With sums (an ErrorSums) the tensor is scored as it is encoded (see quantize_group).
     """
     return next(quantize_group(t, (), [config], codebook, [sums]))
 
@@ -704,12 +699,12 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     """Yield t quantized under each config, its rows in dims kept at 16 bits.
 
     dims holds integers in [0, len(t)), in any order and with repeats. The configs share
-    block size and centering, so the kept rows are normalized once, and held only when
-    more than one pass reads them. Without a codebook each config takes its own; every
-    quantile width comes from one sort of codebook_for's sample. A codebook given must be
-    the one every config calls for. sums holds an ErrorSums per config: each slab is
-    scored as it is encoded, the outlier rows last, and code_use is set before q is yielded;
-    each leaf's signal sum is taken for the first config scored and reused by the others.
+    block size and centering, so one walk of the kept rows normalizes each slab once and looks
+    it up under every config (see _encode_blocks); each tensor yielded owns its copy of the
+    constants. Without a codebook each config takes its own; every quantile width comes from
+    one sort of codebook_for's sample, taken before the walk. A codebook given must be the one
+    every config calls for. sums holds an ErrorSums or None per config: each slab is scored as
+    it is encoded, the outlier rows last, and code_use is set before q is yielded.
     """
     if not configs or len({(c.block_size, c.centered) for c in configs}) > 1:
         raise InvalidSpecError("a group needs one or more configs of one block size and centering")
@@ -726,24 +721,19 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     _check_finite(outliers)  # no slab holds these rows; _stored16 lets NaN through
     rows = _stored16(outliers, "outlier value").reshape(dims.size, -1 if dims.size else 0)
     n = arr.size - rows.size
-    block_size, centered = _block_length(n, configs[0].block_size), configs[0].centered
+    sums = sums or [None] * len(configs)
     widths = {c.bits for c in configs if c.kind is CodebookKind.QUANTILE and codebook is None}
-    held, normalized, signals = None, None, {}  # signals: see _encode_blocks
-    if len(configs) > 1 or (widths and not dims.size):
-        normalized = np.empty(n)
-        held = list(_normalized_slabs(arr, dims, block_size, centered, normalized))
-    if widths:
-        quantile = _quantile_books(widths, arr, configs[0], None if dims.size else normalized)
-    for config, config_sums in zip(configs, sums or [None] * len(configs)):
-        is_quantile = config.kind is CodebookKind.QUANTILE
-        book = codebook or (quantile[config.bits] if is_quantile else codebook_for(arr, config))
-        packed, absmax16, means16 = _encode_blocks(arr, dims, n, book, config, held, config_sums,
-                                                   signals)
+    quantile = _quantile_books(widths, arr, configs[0]) if widths else {}
+    books = [codebook or (quantile[c.bits] if c.kind is CodebookKind.QUANTILE
+                          else codebook_for(arr, c)) for c in configs]
+    codes, absmax16, means16 = _encode_blocks(arr, dims, n, books, configs, sums)
+    for config, book, config_sums in zip(configs, books, sums):
         if config_sums is not None:
             config_sums.end_tensor(outliers, rows, len(book))
-        yield QuantizedTensor(
-            tuple(arr.shape), config, packed, n, absmax16, means16, dims, rows,
-            book.values.copy() if is_quantile else None,
+        yield QuantizedTensor(  # codes.pop: each config's codes are dropped once packed
+            tuple(arr.shape), config, pack_indices(codes.pop(0), config.bits), n, absmax16.copy(),
+            None if means16 is None else means16.copy(), dims, rows,
+            book.values.copy() if config.kind is CodebookKind.QUANTILE else None,
         )
 
 
@@ -788,17 +778,16 @@ def codebook_for(t, config: QuantConfig) -> Codebook:
     return _quantile_books([config.bits], _check_input(t), config)[config.bits]
 
 
-def _quantile_books(widths, arr, config: QuantConfig, normalized=None) -> dict[int, Codebook]:
+def _quantile_books(widths, arr, config: QuantConfig) -> dict[int, Codebook]:
     """Quantile codebook of each width from all of arr's rows normalized under config.
 
-    The values are sorted once, in a copy of normalized when that holds them all already.
+    Each slab is normalized on the slab pool into its span of one sample, sorted in place.
+    This is the first pass over those slabs, so each is tested finite.
     """
-    if normalized is None:
-        sample = np.empty(arr.size)
-        block_size = _block_length(arr.size, config.block_size)
-        list(_normalized_slabs(arr, (), block_size, config.centered, sample))
-    else:
-        sample = normalized.copy()
+    sample, block_size = np.empty(arr.size), _block_length(arr.size, config.block_size)
+    list(_pooled(lambda lo, hi, blocks, pieces: _normalize(
+        _float64(pieces, finite=True), block_size, config.centered, sample[lo:hi]),
+        _kept_slabs(arr, (), block_size)))
     sample.sort()
     if not (sample[0] or sample[-1]):
         raise InvalidValueError("cannot estimate a quantile codebook from an all-zero tensor")
