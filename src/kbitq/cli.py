@@ -198,6 +198,8 @@ def cmd_inspect(args) -> int:
 
 def cmd_codebook(args) -> int:
     kind = CodebookKind(args.kind)
+    if kind is not CodebookKind.FLOAT and args.exponent_bits is not None:  # QuantConfig refuses
+        quantizer.QuantConfig(kind, args.bits, exponent_bits=args.exponent_bits)
     if kind is CodebookKind.QUANTILE:
         if not args.sample:
             raise InvalidSpecError("--kind quantile requires --sample CONTAINER")

@@ -13,12 +13,12 @@ slabs of whole blocks, on a pool of one thread per usable CPU (see _pooled),
 and no output depends on the slab size or the thread count. Each thread keeps
 its slab-sized temporaries in one reusable workspace (see _scratch). The configs
 of a sweep group share one walk: each slab is normalized once and looked up under
-every config (see _encode_blocks). A block longer than a slab is normalized whole,
-then walked as leaves cut along numpy's pairwise-sum tree (see _leaves), so its
-error sums are numpy's. Lookup, gather and code marks take a slab in chunks of
-2^16 (see _CHUNK_ELEMENTS). Lookup counts exact decision thresholds through a
-bucket table cached per codebook, and codes are packed eight to a uint64 word
-lane (see pack_indices).
+every config (see _encode_blocks). A block longer than a slab is cast to one float64
+array and normalized in place, then walked as leaves cut along numpy's pairwise-sum
+tree (see _leaves), so its error sums are numpy's. Lookup, gather and code marks take
+a slab in chunks of 2^16 (see _CHUNK_ELEMENTS). Lookup counts exact decision thresholds
+through a bucket table cached per codebook, and codes are packed eight to a uint64
+word lane (see pack_indices).
 """
 
 from __future__ import annotations
@@ -300,13 +300,13 @@ def _scratch(slot: str, n: int, dtype=np.float64) -> np.ndarray:
     Slab tasks keep their slab-sized temporaries here: glibc maps a request of 128 KiB or
     more afresh unless an earlier free raised its dynamic threshold, and each slab would
     then fault those pages in anew. A buffer grows to the largest request of at most
-    _SLAB_ELEMENTS elements; a longer one (a block normalized whole) gets a new array. The
-    contents last until this thread next asks for the slot, so no result may outlive its task,
-    and the buffers as long as the thread: a pool thread's, like the main thread's, until exit.
-    Slots: "x", a task's input in float64 or its packing lanes; "normalized"; "spare", one
-    temporary at a time in task order (finiteness mask, centered magnitudes, the lookup's
-    scaled values and positions, decoded values, lane merges); "index", the lookup's uint8
-    hits or a chunk's intp codes (see _widened). Fewer buffers touch fewer pages.
+    _SLAB_ELEMENTS elements; a longer one gets a new array. The contents last until this
+    thread next asks for the slot, so no result may outlive its task, and the buffers as long
+    as the thread: a pool thread's, like the main thread's, until exit. Slots: "x", a task's
+    input in float64 or its packing lanes; "normalized"; "spare", one temporary at a time in
+    task order (the lookup's scaled values and positions, decoded values, lane merges);
+    "index", the lookup's uint8 hits or a chunk's intp codes (see _widened). Fewer buffers
+    touch fewer pages.
     """
     if n > _SLAB_ELEMENTS:
         return np.empty(n, dtype)
@@ -388,7 +388,7 @@ def _merge_lanes(words: np.ndarray, k: int, pack: bool) -> None:
 
 
 def pack_indices(indices, k: int) -> bytes:
-    """Pack code indices into a little-endian bitstream, k bits each.
+    """Pack integer code indices in [0, 2^k) into a little-endian bitstream, k bits each.
 
     Code i occupies stream bits [i*k, (i+1)*k), bytes filled LSB-first,
     the final byte zero-padded. Eight codes fill exactly k bytes, so each
@@ -401,6 +401,8 @@ def pack_indices(indices, k: int) -> bytes:
     arr = np.asarray(indices).ravel()
     if arr.size == 0:
         return b""
+    if arr.dtype.kind not in "iu":
+        raise InvalidValueError(f"indices must be integers, got {arr.dtype}")
     if arr.min() < 0 or arr.max() >= 2**k:
         raise InvalidValueError(f"indices must be in [0, 2^{k})")
     groups = -(-arr.size // 8)
@@ -419,12 +421,14 @@ def pack_indices(indices, k: int) -> bytes:
 
 
 def unpack_indices(data: bytes, k: int, count: int) -> np.ndarray:
-    """Inverse of pack_indices: recover `count` k-bit indices.
+    """Inverse of pack_indices: recover `count` (at least 0) k-bit indices.
 
     Each k-byte group is loaded into a uint64 lane and the merges undone,
     ranges of lanes on the slab pool.
     """
     _check_bits(k)
+    if count < 0:
+        raise InvalidValueError(f"cannot unpack a negative count of indices, got {count}")
     if count == 0:
         return np.zeros(0, dtype=np.uint8)
     needed = -(-count * k // 8)
@@ -522,23 +526,18 @@ def _merged(results, n: int, block_size: int, merge):
         yield fold(_pairwise_tree(hi - lo))
 
 
-def _check_finite(x: np.ndarray) -> None:
-    """Raise InvalidValueError at a NaN or infinity in x, a slab or a tensor's outlier rows."""
-    if not np.isfinite(x.reshape(-1), out=_scratch("spare", x.size, np.bool_)).all():
+def _check_finite(*arrays: np.ndarray) -> None:
+    """Raise InvalidValueError at a NaN or infinity in arrays: block extremes or outlier rows."""
+    if not all(np.isfinite(a).all() for a in arrays):
         raise InvalidValueError("tensor contains non-finite values")
 
 
-def _float64(pieces, finite: bool = False) -> np.ndarray:
+def _float64(pieces) -> np.ndarray:
     """A slab's or leaf's kept elements, from its pieces, in float64: one float64 piece as it
-    is, others cast into this thread's workspace. finite=True, in the first pass over a
-    tensor's slabs, tests the slab with _check_finite."""
+    is, others cast into this thread's workspace."""
     if len(pieces) == 1 and pieces[0].dtype == np.float64:
-        x = pieces[0]
-    else:
-        x = np.concatenate(pieces, out=_scratch("x", sum(p.size for p in pieces)))
-    if finite:
-        _check_finite(x)
-    return x
+        return pieces[0]
+    return np.concatenate(pieces, out=_scratch("x", sum(p.size for p in pieces)))
 
 
 def _blocks(a: np.ndarray, block_size: int):
@@ -560,17 +559,22 @@ def _normalize(x: np.ndarray, block_size: int, centered: bool, out=None):
     """Blockwise normalization of a float64 slab of whole blocks.
 
     Returns (normalized, absmax16, means16), normalized written into out (a new array if
-    None). Means come from np.add.reduceat, which sums each block on its own. Blocks whose
+    None), which may be x itself. Each block's max and min, taken first, test it finite (a NaN
+    reaches both, an infinity one). Means come from np.add.reduceat, which sums each block on
+    its own. absmax is max(max - mean, mean - min) + 0.0: rounding keeps a difference's order
+    and sign, so this is max |x - mean| bit for bit, and + 0.0 makes -0.0 +0.0. Blocks whose
     absmax is zero normalize to +0.0, which looks up to the codebook's zero code.
     """
-    starts, means16 = np.arange(0, x.size, block_size), None
-    out = np.empty_like(x) if out is None else out
+    starts, means16, mean = np.arange(0, x.size, block_size), None, 0.0
+    highs, lows = np.maximum.reduceat(x, starts), np.minimum.reduceat(x, starts)
+    _check_finite(highs, lows)
     if centered:
         means16 = to_float16(np.add.reduceat(x, starts) / np.diff(np.append(starts, x.size)))
-        x = _blockwise(np.subtract, x, means16.astype(np.float64), block_size, out)
-    # out is still free when uncentered; centered, it holds x
-    magnitudes = np.abs(x, out=_scratch("spare", x.size) if centered else out)
-    absmax16 = _stored16(np.maximum.reduceat(magnitudes, starts), "block constant")
+        mean = means16.astype(np.float64)
+    absmax16 = _stored16(np.maximum(highs - mean, mean - lows) + 0.0, "block constant")
+    out = np.empty_like(x) if out is None else out
+    if centered:
+        x = _blockwise(np.subtract, x, mean, block_size, out)
     live = absmax16 > 0
     scale = np.where(live, absmax16.astype(np.float64), 1.0)
     normalized = _blockwise(np.divide, x, scale, block_size, out)
@@ -607,9 +611,9 @@ def _encode_blocks(t, dims, n: int, books, configs, sums):
     returns (each config's codes, absmax16, means16), the constants all configs share.
 
     Each kept-row slab is normalized once, in its own task, and looked up under every config
-    while it is in the thread's workspace; a block longer than a slab is normalized whole
-    here, and its leaves (see _leaves) are the tasks. With a config's sums (an ErrorSums, or
-    None) each leaf is decoded and scored in its task, its signal summed once for all configs.
+    while it is in the thread's workspace; a block longer than a slab is normalized whole, in
+    place, here, and its leaves (see _leaves) are the tasks. With a config's sums (an ErrorSums,
+    or None) each leaf is decoded and scored in its task, its signal summed once for all configs.
     Each config's partials, a slab's leaves merged along its tree, are folded in slab order
     after the walk, so a fault in any slab leaves every ErrorSums as it was.
     """
@@ -630,14 +634,14 @@ def _encode_blocks(t, dims, n: int, books, configs, sums):
             if hi - lo <= _SLAB_ELEMENTS:
                 yield slab, None
                 continue
-            normalized = constants(blocks, _normalize(_float64(pieces, finite=True), block_size,
-                                                      centered))
+            whole = np.concatenate(pieces, dtype=np.float64)
+            normalized = constants(blocks, _normalize(whole, block_size, centered, whole))
             for leaf in _leaves(slab):
                 yield leaf, normalized[leaf[0] - lo : leaf[1] - lo]
 
     def encode(leaf, normalized) -> list:  # writes only its own codes and constants
         lo, hi, blocks, pieces = leaf
-        x = _float64(pieces, finite=normalized is None)  # a slab is tested on its first pass
+        x = _float64(pieces)
         if normalized is None:
             normalized = constants(blocks, _normalize(x, block_size, centered,
                                                       _scratch("normalized", x.size)))
@@ -661,7 +665,7 @@ def _encode_blocks(t, dims, n: int, books, configs, sums):
 
 def _check_input(t) -> np.ndarray:
     """t as a non-empty array: a float ndarray as it is, anything else in float64. Its values
-    are tested finite slab by slab, in the first pass over them (see _float64)."""
+    are tested finite block by block, as each slab is normalized (see _normalize)."""
     arr = t if type(t) is np.ndarray and t.dtype.kind == "f" else np.asarray(t, dtype=np.float64)
     if arr.size == 0:
         raise EmptyInputError("cannot quantize an empty tensor")
@@ -781,12 +785,12 @@ def codebook_for(t, config: QuantConfig) -> Codebook:
 def _quantile_books(widths, arr, config: QuantConfig) -> dict[int, Codebook]:
     """Quantile codebook of each width from all of arr's rows normalized under config.
 
-    Each slab is normalized on the slab pool into its span of one sample, sorted in place.
-    This is the first pass over those slabs, so each is tested finite.
+    Each slab is cast into its span of one sample and normalized there, in place, on the
+    slab pool, which tests it finite (see _normalize); the sample is then sorted in place.
     """
     sample, block_size = np.empty(arr.size), _block_length(arr.size, config.block_size)
     list(_pooled(lambda lo, hi, blocks, pieces: _normalize(
-        _float64(pieces, finite=True), block_size, config.centered, sample[lo:hi]),
+        np.concatenate(pieces, out=sample[lo:hi]), block_size, config.centered, sample[lo:hi]),
         _kept_slabs(arr, (), block_size)))
     sample.sort()
     if not (sample[0] or sample[-1]):

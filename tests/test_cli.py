@@ -227,9 +227,8 @@ class TestCodebookCommand:
             (("float", 4), build_float_codebook(FloatSpec(4, default_exponent_bits(4)))),
             (("float", 6, "--exponent-bits", 2), build_float_codebook(FloatSpec(6, 2))),
             (("dynamic", 5), build_dynamic_codebook(DynamicSpec(5))),
-            (("int", 4, "--exponent-bits", 2), build_int_codebook(4)),
         ],
-        ids=["float-default", "float-e2", "dynamic", "int-ignores-exponent"],
+        ids=["float-default", "float-e2", "dynamic"],
     )
     def test_fixed_kinds_match_library(self, capsys, argv, book):
         kind, bits, *rest = argv
@@ -238,6 +237,16 @@ class TestCodebookCommand:
         assert json.loads(out) == {
             "kind": book.kind.value, "bits": book.bits, "values": book.values.tolist(),
         }
+
+    @pytest.mark.parametrize("kind", ["int", "dynamic", "quantile"])
+    def test_non_float_kind_refuses_exponent_bits(self, capsys, tmp_path, kind):
+        """As quantize does: exit 2 with QuantConfig's message (quantile has its sample)."""
+        sample = tmp_path / "s.st"
+        write_container(sample, {"w": np.linspace(-1, 1, 96, dtype=np.float32)})
+        code, out, err = run_cli(capsys, "codebook", "--kind", kind, "--bits", 4,
+                                 "--exponent-bits", 2, "--sample", sample)
+        assert (code, out) == (2, "")
+        assert err == "kbitq codebook: exponent_bits only applies to the float kind\n"
 
     def test_quantile_requires_sample(self, capsys):
         code, _, err = run_cli(capsys, "codebook", "--kind", "quantile", "--bits", 4)

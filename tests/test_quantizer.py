@@ -261,6 +261,19 @@ class TestPacking:
         with pytest.raises(InvalidValueError):
             pack_indices([0, 16], 4)
 
+    @pytest.mark.parametrize("codes", [np.array([1.7, 2.2, 15.9]), [1.0, 2.0], [True, False]],
+                             ids=["fractions", "whole-floats", "bools"])
+    def test_non_integer_codes_rejected(self, codes):
+        with pytest.raises(InvalidValueError, match="indices must be integers"):
+            pack_indices(codes, 4)
+
+    def test_empty_codes_pack_to_nothing(self):
+        assert pack_indices([], 4) == pack_indices(np.zeros(0), 4) == b""
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvalidValueError, match="negative count"):
+            unpack_indices(b"\x21\x43", 4, -3)
+
     def test_unpack_truncated(self):
         with pytest.raises(LengthError):
             unpack_indices(b"\x01", 4, 3)
