@@ -66,6 +66,19 @@ def _check_bits(k: int, low: int = MIN_BITS, high: int = MAX_BITS) -> int:
     return int(k)
 
 
+def sorted_unique(values) -> np.ndarray:
+    """np.unique(values) of NaN-free values: a flat, ascending copy without repeats.
+
+    It sorts as np.unique sorts floats, so of equal values (-0.0 and +0.0) it keeps the same
+    one, and unlike np.unique (numpy 2.x) it never imports numpy.ma, a fixed cost per process.
+    """
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 @dataclass(frozen=True)
 class Codebook:
     """A k-bit data type: the ordered set of decodable values.
@@ -273,7 +286,7 @@ def build_float_codebook(spec: FloatSpec) -> Codebook:
     scales = np.where(exponents == 0, 2.0 ** (1 - bias), 2.0 ** (exponents - bias))
     leading = np.where(exponents == 0, 0.0, 1.0)
     magnitudes = (scales[:, None] * (leading[:, None] + mantissas[None, :])).ravel()
-    values = np.unique(np.concatenate([magnitudes, -magnitudes]))
+    values = sorted_unique(np.concatenate([magnitudes, -magnitudes]))
     values = values / np.max(np.abs(values))
     return Codebook(CodebookKind.FLOAT, k, values)
 
@@ -368,7 +381,7 @@ def build_quantile_codebook(spec: QuantileSpec) -> Codebook:
     probs = np.arange(n_codes + 1, dtype=np.float64) / (n_codes + 1)
     quantiles = _sorted_quantiles(sample, probs, peak)
     mids = (quantiles[:-1] + quantiles[1:]) / 2.0
-    values = np.unique(np.concatenate([mids, [0.0]]))
+    values = sorted_unique(np.concatenate([mids, [0.0]]))
     if values.size > n_codes:
         nonzero = values[values != 0.0]
         drop = nonzero[np.argmin(np.abs(nonzero))]

@@ -45,6 +45,7 @@ from .codebooks import (
     build_quantile_codebook,
     cell_index,
     default_exponent_bits,
+    sorted_unique,
     _check_bits,
     _is_integer,
 )
@@ -299,14 +300,15 @@ def _scratch(slot: str, n: int, dtype=np.float64) -> np.ndarray:
 
     Slab tasks keep their slab-sized temporaries here: glibc maps a request of 128 KiB or
     more afresh unless an earlier free raised its dynamic threshold, and each slab would
-    then fault those pages in anew. A buffer grows to the largest request of at most
-    _SLAB_ELEMENTS elements; a longer one gets a new array. The contents last until this
-    thread next asks for the slot, so no result may outlive its task, and the buffers as long
-    as the thread: a pool thread's, like the main thread's, until exit. Slots: "x", a task's
-    input in float64 or its packing lanes; "normalized"; "spare", one temporary at a time in
-    task order (the lookup's scaled values and positions, decoded values, lane merges);
-    "index", the lookup's uint8 hits or a chunk's intp codes (see _widened). Fewer buffers
-    touch fewer pages.
+    then fault those pages in anew. A slot's first buffer has room for its largest request
+    of at most _SLAB_ELEMENTS elements, a slab of float64, so it is never replaced; pages it
+    leaves untouched are never resident. A longer request gets a new array. The contents last
+    until this thread next asks for the slot, so no result may outlive its task, and the
+    buffers as long as the thread: a pool thread's, like the main thread's, until exit.
+    Slots: "x", a task's input in float64 or its packing lanes; "normalized"; "spare", one
+    temporary at a time in task order (the lookup's scaled values and positions, decoded
+    values, lane merges); "index", the lookup's uint8 hits or a chunk's intp codes (see
+    _widened). Fewer buffers touch fewer pages.
     """
     if n > _SLAB_ELEMENTS:
         return np.empty(n, dtype)
@@ -314,7 +316,7 @@ def _scratch(slot: str, n: int, dtype=np.float64) -> np.ndarray:
     buffers = vars(_workspace)  # this thread's own
     buf = buffers.get(slot)
     if buf is None or buf.size < size:
-        buf = buffers[slot] = np.empty(size, dtype=np.uint8)
+        buf = buffers[slot] = np.empty(max(size, 8 * _SLAB_ELEMENTS), dtype=np.uint8)
     return buf[:size].view(dtype)
 
 
@@ -720,7 +722,7 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     dims, n_rows = np.asarray(dims).ravel(), arr.shape[0] if arr.ndim else 0
     if dims.size and (dims.dtype.kind not in "iu" or dims.min() < 0 or dims.max() >= n_rows):
         raise InvalidIndexError(f"outlier rows must be integers in [0, {n_rows}), got {dims}")
-    dims = np.unique(dims).astype(np.int32)  # only once checked: the cast wraps rows >= 2^31
+    dims = sorted_unique(dims).astype(np.int32)  # once checked: the cast wraps rows >= 2^31
     outliers = arr[dims] if dims.size else np.zeros(0)
     _check_finite(outliers)  # no slab holds these rows; _stored16 lets NaN through
     rows = _stored16(outliers, "outlier value").reshape(dims.size, -1 if dims.size else 0)

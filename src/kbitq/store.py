@@ -7,6 +7,12 @@ follows. Quantized tensors are serialized in the KBQ1 format: a 4-byte
 magic, a 4-byte little-endian manifest length, a UTF-8 JSON manifest, then
 8-byte-aligned binary sections in the order and stored dtypes of
 quantizer.KBQ_SECTIONS. All multi-byte integers are little-endian.
+
+Both readers take a file's bytes from a read-only mapping of it, and read
+them whole only where the OS maps none (an empty file, a pipe). Container
+tensors are views of the mapping; a KBQ section is copied once, into an
+array or bytes of its tensor's own. Files are written to a sibling and
+renamed over the path, so a mapping keeps the bytes it was made of.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import mmap
 import operator
 import os
 import struct
@@ -65,10 +72,19 @@ class TensorContainer:
             yield name, self.tensor(name)
 
 
+def _map(path) -> mmap.mmap | bytes:
+    """The bytes of the file at path: a read-only mapping of it, or, where the OS maps none
+    (an empty file, a pipe), the bytes read from it."""
+    with open(path, "rb") as fh:
+        try:
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):  # ValueError: an empty regular file
+            return fh.read()
+
+
 def read_container(path) -> TensorContainer:
     """Read a container file, validating layout before any tensor access."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = _map(path)
     if len(blob) < 8:
         raise ParseError(f"{path}: too short for a container header")
     (header_len,) = struct.unpack("<Q", blob[:8])
@@ -234,9 +250,16 @@ def _whole(size) -> int:
 
 
 def read_kbq(path) -> dict[str, QuantizedTensor]:
-    """Load a KBQ file back into quantized tensors."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Load a KBQ file back into quantized tensors, each owning its sections."""
+    blob = _map(path)
+    try:
+        return _load_kbq(path, blob)
+    finally:
+        if isinstance(blob, mmap.mmap):
+            blob.close()  # every section was copied out of it
+
+
+def _load_kbq(path, blob: mmap.mmap | bytes) -> dict[str, QuantizedTensor]:
     if blob[: len(KBQ_MAGIC)] != KBQ_MAGIC:
         raise FormatError(f"{path}: not a KBQ file (bad magic)")
     if len(blob) < len(KBQ_MAGIC) + 4:
@@ -261,7 +284,7 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
                                  entry["centered"], entry["outlier_fraction"],
                                  dtype["exponent_bits"])
 
-            def sec(what: str, code: str) -> np.ndarray:  # counts are for q.validate()
+            def sec(what: str, code: str) -> np.ndarray | bytes:  # counts: q.validate()
                 if what not in sections:
                     raise CorruptDataError(f"missing section {what!r}")
                 offset, length = map(_whole, sections[what])
@@ -271,7 +294,9 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
                         f"section {what!r} [{offset}, {offset + length}) is not whole "
                         f"{code} values inside the file"
                     )
-                return np.frombuffer(blob[offset : offset + length], "<" + code).astype(code)
+                if what == "indices":  # packed codes are bytes
+                    return blob[offset : offset + length]
+                return np.frombuffer(blob, "<" + code, length // size, offset).astype(code)
 
             quantile = config.kind is CodebookKind.QUANTILE  # no other tensor reads a codebook
             got = {what: sec(what, code) for what, code in KBQ_SECTIONS.items()
@@ -280,7 +305,7 @@ def read_kbq(path) -> dict[str, QuantizedTensor]:
             q = QuantizedTensor(
                 shape=tuple(map(_whole, entry["shape"])),
                 config=config,
-                packed_indices=got["indices"].tobytes(),
+                packed_indices=got["indices"],
                 n_quantized=_whole(entry["n_quantized"]),
                 absmax=got["absmax"],
                 means=means if config.centered or means.size else None,  # else validate fails

@@ -38,6 +38,41 @@ def test_a_thread_gets_its_buffers_back(monkeypatch):
     assert buffers() == first
 
 
+def test_a_fresh_thread_allocates_each_slot_once(monkeypatch):
+    """A new thread's first scored walk (outlier stds, lookup, decoding, scoring, packing,
+    then decoding the tensor) keeps each slot's first buffer: it has room for a slab of
+    float64, the largest request, so no later request replaces it."""
+    monkeypatch.setattr(quantizer, "_WORKERS", 1)  # the inline walk, on the new thread
+    scratch, made, failed = quantizer._scratch, {}, []
+
+    def recording(slot, n, dtype=np.float64):
+        view = scratch(slot, n, dtype)
+        if n <= quantizer._SLAB_ELEMENTS:  # held, so that no id is reused
+            made.setdefault(slot, []).append(vars(quantizer._workspace)[slot])
+        return view
+
+    def walk():
+        try:
+            up, x = gaussian((300, 600), 6), gaussian((600, 1000), 7)
+            up[:, ::97] *= 8.0
+            dims = detect_outlier_dims([up, x], 0.02)[1]
+            config = QuantConfig(kind="float", bits=3, block_size=64, centered=True)
+            dequantize_tensor(quantize_mixed(x, dims, None, config, ErrorSums()))
+        except BaseException as exc:  # reraised on the test's thread
+            failed.append(exc)
+
+    monkeypatch.setattr(quantizer, "_scratch", recording)
+    thread = threading.Thread(target=walk)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if failed:
+        raise failed[0]
+    assert made.keys() == {"x", "normalized", "spare", "index"}
+    assert {slot: len({id(buf) for buf in bufs}) for slot, bufs in made.items()} == {
+        slot: 1 for slot in made}
+
+
 def test_pool_threads_get_distinct_buffers(monkeypatch):
     monkeypatch.setattr(quantizer, "_WORKERS", 3)
     running = threading.Barrier(3)

@@ -9,10 +9,12 @@ revision, each revision in a fresh interpreter that imports its own
 `src/`: quantize, dequantize and `inspect` (with and without `--against`)
 for every codebook kind, a few widths and block sizes, centering and
 outlier rows; a chained F16 pair wider than one slab; a 0-d tensor and a
-container with no tensors; sweep grids (a 144-config one, and one whose
-whole blocks are longer than a slab, among them);
-`codebook`; `scaling-fit`; and the usage, runtime and format errors. The inputs are written
-by this script, not by kbitq, so both revisions read the same bytes.
+container with no tensors; short, overrun and cut-short containers and KBQ
+files, a directory as input, and commands that write over their own input;
+sweep grids (a 144-config one, and one whose whole blocks are longer than a
+slab, among them); `codebook`; `scaling-fit`; and the usage, runtime and
+format errors. The inputs are written by this script, not by kbitq, so both
+revisions read the same bytes.
 
 Exit codes, stdout, stderr and every file a case writes are compared byte
 for byte. The summary goes to stdout; the exit status is 0 when every call
@@ -71,6 +73,14 @@ def write_inputs(root: Path) -> None:
     _write_container(root / "empty.st", {})
     _write_container(root / "zeros.st", {"w": np.zeros((16, 16), "<f4")})
     _write_container(root / "big.st", {"w": (gen.standard_normal((64, 64)) * 1e6).astype("<f4")})
+    # read-path faults: files too short for a header, a header past the end, cut-short data
+    (root / "zero.st").write_bytes(b"")
+    (root / "seven.st").write_bytes(b"\x10\0\0\0\0\0\0")
+    (root / "overrun.st").write_bytes(struct.pack("<Q", 4096) + b"{}")
+    whole = (root / "chain.st").read_bytes()
+    (root / "cut.st").write_bytes(whole[: len(whole) - 100])
+    (root / "zero.kbq").write_bytes(b"")
+    (root / "overrun.kbq").write_bytes(_kbq_past_the_end())
     records = ["family,n_params,precision_bits,total_bits,metric_kind,value"]
     records += [f"synth,{2**x // 4},{p},{2**x},accuracy,{0.01 * x + p / 100}"
                 for p in (3.0, 4.0, 16.0) for x in (20, 23, 26)]
@@ -87,6 +97,18 @@ def _write_container(path: Path, tensors: dict[str, np.ndarray]) -> None:
     encoded = json.dumps(header, separators=(",", ":")).encode()
     path.write_bytes(struct.pack("<Q", len(encoded)) + encoded
                      + b"".join(arr.tobytes() for arr in tensors.values()))
+
+
+def _kbq_past_the_end() -> bytes:
+    """A KBQ file of one int4 tensor of 16 elements whose indices section runs past its end."""
+    sections = {"indices": [64, 4096], "absmax": [64, 2], "means": [64, 0],
+                "outlier_dims": [64, 0], "outlier_rows": [64, 0]}
+    entry = {"shape": [16], "dtype": {"kind": "int", "bits": 4, "exponent_bits": None},
+             "block_size": 64, "centered": False, "outlier_fraction": 0.0, "n_quantized": 16,
+             "sections": sections}
+    manifest = json.dumps({"version": 1, "tensors": {"w": entry}}).encode()
+    head = b"KBQ1" + struct.pack("<I", len(manifest)) + manifest
+    return head + b"\0" * 16
 
 
 def battery() -> list[list[list[str]]]:
@@ -152,6 +174,16 @@ def battery() -> list[list[list[str]]]:
           "--exponent-bits", "0", "--bits", "5"],
          ["codebook", "--kind", "float", "--bits", "5", "--exponent-bits", "0"],
          ["sweep", chain, "--centered", "2"], ["scaling-fit", "../inputs/latin1.csv"]],
+        # read-path faults, a directory as input, and commands writing over their own input
+        [["quantize", f"../inputs/{name}.st", "t.kbq"]
+         for name in ("zero", "seven", "overrun", "cut")]
+        + [["dequantize", f"../inputs/{name}.kbq", "d.st"] for name in ("zero", "overrun")]
+        + [["inspect", "../inputs/overrun.kbq"], ["quantize", "../inputs", "t.kbq"],
+           ["dequantize", "../inputs", "d.st"], ["inspect", "../inputs"]],
+        [["quantize", "self.st", "--synthetic", "student-t", "--seed", "9", "--shape", "40x24"],
+         ["dequantize", "self.st", "self.st"], ["quantize", "self.st", "self.st",
+                                                "--dtype", "float", "--outlier-p", "0.05"],
+         ["inspect", "self.st"], ["dequantize", "self.st", "self.st"]],
         # input routing: one path without --synthetic, three paths, an input and --synthetic
         [["quantize", "t.kbq"], ["quantize", chain, chain, "t.kbq"],
          ["quantize", chain, "t.kbq", "--synthetic", "gaussian"], ["sweep", chain, chain],
