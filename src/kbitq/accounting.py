@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DimensionError, EmptyInputError, UndefinedCorrelationError
 from .quantizer import KBQ_SECTIONS, QuantConfig, QuantizedTensor, section_counts
-from .quantizer import _checked_codes, _decode, _float64, _kept_leaves, _merged, _pooled, _widened
+from .quantizer import _check_finite, _checked_codes, _decode, _float64, _kept_leaves, _merged
+from .quantizer import _pooled, _widened
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,8 @@ class ErrorSums:
         """Add a tensor and its quantization q, decoding q slab by slab; returns code_use(q).
 
         Outlier rows come last, so the sums can differ from error_metrics' in the last digit.
+        A NaN or infinity in the original raises InvalidValueError and leaves the sums as
+        they were: every partial is taken, and the outlier rows tested, before any is added.
         """
         a = np.asarray(original)
         codebook, indices = _checked_codes(q)
@@ -179,13 +182,15 @@ class ErrorSums:
             raise DimensionError(f"shape mismatch: {a.shape} vs {q.shape}")
 
         def score(lo: int, hi: int, blocks: slice, pieces) -> tuple:
-            codes = indices[lo:hi]
+            x, codes = _float64(pieces), indices[lo:hi]
+            _check_finite(x)
             values = _decode(codebook, codes, q.absmax, q.means, blocks, q.block_size)
-            return self.partial(_float64(pieces), values, codes, spend=True)
+            return self.partial(x, values, codes, spend=True)
 
-        leaves = _kept_leaves(a, q.outlier_dims, q.block_size)
-        self.fold(_pooled(score, leaves), q.n_quantized, q.block_size)
+        partials = list(_pooled(score, _kept_leaves(a, q.outlier_dims, q.block_size)))
         outliers = a[q.outlier_dims] if q.outlier_dims.size else ()
+        _check_finite(outliers)
+        self.fold(partials, q.n_quantized, q.block_size)
         return self.end_tensor(outliers, q.outlier_rows, len(codebook))
 
     def report(self, codebook_utilization: float) -> ErrorReport:

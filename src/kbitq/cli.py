@@ -206,7 +206,8 @@ def cmd_codebook(args) -> int:
         container = store.read_container(args.sample)
         if not container.names():
             raise EmptyInputError(f"{args.sample}: the sample container holds no tensors")
-        sample = np.concatenate([arr.ravel() for _, arr in container.items()])
+        sample = np.concatenate([arr.ravel() for _, arr in container.items()], dtype=np.float64)
+        sample.sort()  # in place: the one float64 copy, which build_quantile_codebook keeps
         book = codebooks.build_quantile_codebook(codebooks.QuantileSpec(args.bits, sample))
     else:
         book = quantizer._fixed_codebook(kind, args.bits, args.exponent_bits)
@@ -230,8 +231,6 @@ def cmd_sweep(args) -> int:
     tensors = _load_input(args.paths, args)
     if not tensors:  # only a container can hold none
         raise EmptyInputError(f"{args.paths[0]}: the container holds no tensors")
-    # every group reads every tensor: cast each to float64 once, not once per slab per group
-    tensors = {name: np.asarray(arr, dtype=np.float64) for name, arr in tensors.items()}
 
     try:
         kinds = sorted({k for k in args.dtype.split(",") if k})

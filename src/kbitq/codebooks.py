@@ -160,17 +160,15 @@ class Codebook:
     def cells(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Bucket table of nearest-code lookup: (start, padded, probes).
 
-        The cell count n of cell_index doubles up to 2^16 until no cell holds two
-        thresholds; start[c] (uint8) counts thresholds in cells before c; padded is
-        the thresholds then +inf; probes = ceil(log2(m + 1)), m the most in a cell.
+        The cell count n of cell_index is the first power of two to 2^15 at which the thresholds'
+        cells strictly increase, else 2^16; start[c] (uint8) counts thresholds in cells before c;
+        padded is the thresholds then +inf; probes = ceil(log2(m + 1)), m the most in a cell.
         """
         t = self.thresholds
-        for n in (1 << e for e in range(1, 17)):
-            start = np.searchsorted(cell_index(t, n), np.arange(n + 1))
-            crowd = int(np.max(np.diff(start, append=t.size)))
-            if crowd <= 1:
-                break
-        probes = crowd.bit_length()
+        n = next((1 << e for e in range(1, 16) if np.all(np.diff(cell_index(t, 1 << e)) > 0)),
+                 1 << 16)
+        start = np.searchsorted(cell_index(t, n), np.arange(n + 1))
+        probes = int(np.max(np.diff(start, append=t.size))).bit_length()
         return start.astype(np.uint8), np.append(t, np.full((1 << probes) - 1, np.inf)), probes
 
 

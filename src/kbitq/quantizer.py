@@ -163,9 +163,10 @@ class QuantizedTensor:
 
         shape is a tuple, config a QuantConfig and packed_indices bytes; shape sizes and
         n_quantized are integers >= 0; each section is an ndarray of its KBQ_SECTIONS dtype
-        and section_counts' size, where quantized elements and outlier rows of width
-        prod(shape[1:]) split the shape and outlier dims ascend strictly within [0, shape[0]);
-        means are given iff centered; only a quantile tensor embeds a (valid) codebook.
+        and section_counts' size, 1-D but for outlier rows, where quantized elements and
+        outlier rows of width prod(shape[1:]) split the shape and outlier dims ascend strictly
+        within [0, shape[0]); means are given iff centered; only a quantile tensor embeds a
+        (valid) codebook.
         """
         for name, kind in (("shape", tuple), ("config", QuantConfig), ("packed_indices", bytes)):
             if not isinstance(vars(self)[name], kind):
@@ -180,6 +181,8 @@ class QuantizedTensor:
             if a is not None and not (isinstance(a, np.ndarray) and a.dtype == code):
                 raise CorruptDataError(f"{name} holds {getattr(a, 'dtype', type(a).__name__)}, "
                                        f"not {np.dtype(code)}")
+            if a is not None and a.ndim != 1 and name != "outlier_rows":  # rows: any layout
+                raise CorruptDataError(f"{name} is {a.ndim}-D, not 1-D")
         n_rows = shape[0] if shape else 0
         if dims.size and (dims[0] < 0 or dims[-1] >= n_rows or np.any(np.diff(dims) <= 0)):
             raise CorruptDataError(f"outlier dims must be strictly ascending in [0, {n_rows})")
@@ -529,16 +532,14 @@ def _merged(results, n: int, block_size: int, merge):
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
-    """Raise InvalidValueError at a NaN or infinity in arrays: block extremes or outlier rows."""
+    """Raise InvalidValueError at a NaN or infinity in arrays: block extremes, rows or slabs."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise InvalidValueError("tensor contains non-finite values")
 
 
 def _float64(pieces) -> np.ndarray:
-    """A slab's or leaf's kept elements, from its pieces, in float64: one float64 piece as it
-    is, others cast into this thread's workspace."""
-    if len(pieces) == 1 and pieces[0].dtype == np.float64:
-        return pieces[0]
+    """A slab's or leaf's kept elements, from its pieces, cast into this thread's workspace
+    in float64, whatever the pieces' dtype."""
     return np.concatenate(pieces, out=_scratch("x", sum(p.size for p in pieces)))
 
 

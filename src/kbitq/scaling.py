@@ -49,6 +49,9 @@ class ScalingRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metric_kind", MetricKind(self.metric_kind))
+        for name in ("precision_bits", "total_bits", "value"):  # nan and inf would print as such
+            if not math.isfinite(vars(self)[name]):
+                raise InvalidSpecError(f"{name} must be finite, got {vars(self)[name]}")
         if self.total_bits <= 0:
             raise InvalidSpecError(f"total_bits must be positive, got {self.total_bits}")
         if self.metric_kind is MetricKind.ACCURACY and not 0.0 <= self.value <= 1.0:

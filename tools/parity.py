@@ -11,15 +11,20 @@ for every codebook kind, a few widths and block sizes, centering and
 outlier rows; a chained F16 pair wider than one slab; a 0-d tensor and a
 container with no tensors; short, overrun and cut-short containers and KBQ
 files, a directory as input, and commands that write over their own input;
-sweep grids (a 144-config one, and one whose whole blocks are longer than a
-slab, among them); `codebook`; `scaling-fit`; and the usage, runtime and
-format errors. The inputs are written by this script, not by kbitq, so both
-revisions read the same bytes.
+sweep grids (a 144-config one, one whose whole blocks are longer than a
+slab, and one of an all-F16 chain with outlier rows and quantile widths,
+among them); `codebook`, quantile books sampled from a mixed F32/F16
+container among them; `scaling-fit`; and the usage, runtime and format
+errors, NaN and infinite originals of `inspect --against` and scaling
+records among them. The inputs are written by this script, not by kbitq, so
+both revisions read the same bytes.
 
 Exit codes, stdout, stderr and every file a case writes are compared byte
-for byte. The summary goes to stdout; the exit status is 0 when every call
-matched and 1 otherwise. This is a development tool, not part of the tests;
-it needs Python 3.10.12 or 3.11.4 and later (tarfile's "data" filter).
+for byte, and a stdout of the second revision that starts with `{` must
+parse as strict JSON (no NaN or Infinity constants). The summary goes to
+stdout; the exit status is 0 when every call matched and 1 otherwise. This
+is a development tool, not part of the tests; it needs Python 3.10.12 or
+3.11.4 and later (tarfile's "data" filter).
 """
 
 from __future__ import annotations
@@ -68,6 +73,13 @@ def write_inputs(root: Path) -> None:
     _write_container(root / "chain.st", chain)
     _write_container(root / "wide.st", {"up": wide_up.astype("<f2"),
                                         "down": wide_down.astype("<f2")})
+    _write_container(root / "half.st", {"up": up.astype("<f2"), "down": down.astype("<f2")})
+    # a NaN in a kept row of up; +inf in down's outlier row 40
+    for name, layer, at, value in (("nan", "up", (10, 20), np.nan),
+                                   ("inf", "down", (40, 5), np.inf)):
+        bad = {**chain, layer: chain[layer].copy()}
+        bad[layer][at] = value
+        _write_container(root / f"chain_{name}.st", bad)
     _write_container(root / "scalar.st", {"s": np.array(-2.5, "<f4"),
                                           "v": np.arange(5, dtype="<f2")})
     _write_container(root / "empty.st", {})
@@ -85,6 +97,15 @@ def write_inputs(root: Path) -> None:
     records += [f"synth,{2**x // 4},{p},{2**x},accuracy,{0.01 * x + p / 100}"
                 for p in (3.0, 4.0, 16.0) for x in (20, 23, 26)]
     (root / "records.csv").write_text("\n".join(records) + "\n")
+    nonfinite = [records[0]] + [f"synth,{2**x // 4},{p},{2**x},perplexity,{30 - x + p / 10}"
+                                for p in (3.0, 4.0) for x in (20, 23)]
+    nonfinite += [f"synth,1,{p},{bits},perplexity,{value}"
+                  for p, bits, value in (("3.0", "2e6", "nan"), ("inf", "2e6", "9.5"),
+                                         ("4.0", "inf", "9.5"), ("4.0", "2e6", "inf"))]
+    (root / "nonfinite.csv").write_text("\n".join(nonfinite) + "\n")
+    nan_values = nonfinite[:5] + [f"synth,1,{p},4e6,perplexity,{v}"
+                                  for p, v in (("3.0", "nan"), ("4.0", "inf"))]
+    (root / "nan_values.csv").write_text("\n".join(nan_values) + "\n")
     (root / "latin1.csv").write_bytes("\n".join(records[:2]).encode() + b"\xff\n")
 
 
@@ -157,6 +178,12 @@ def battery() -> list[list[list[str]]]:
           "quantile,int", "--bits", "2,5", "--outlier-p", "0.1,0", "--centered", "1,0"]],
         [["codebook", "--kind", kind, "--bits", bits, "--sample", chain]
          for kind in KINDS for bits in ("3", "8")],
+        # an all-F16 chain: each slab cast from binary16, outlier rows at two fractions
+        [["sweep", "../inputs/half.st", "--dtype", "quantile,int", "--bits", "2,3,5,8",
+          "--block-size", "32,whole", "--centered", "0,1", "--outlier-p", "0,0.05,0.1"]],
+        # quantile books of every width from the mixed F32/F16 chain and the F16 wide pair
+        [["codebook", "--kind", "quantile", "--bits", bits, "--sample", sample]
+         for sample in (chain, "../inputs/wide.st") for bits in map(str, range(2, 9))],
         # runtime and usage errors
         [["quantize", "../inputs/zeros.st", "t.kbq", "--dtype", "quantile"]],
         [["quantize", "../inputs/big.st", "t.kbq", "--bits", "8", "--block-size", "64"]],
@@ -191,6 +218,12 @@ def battery() -> list[list[list[str]]]:
         # budgets that are not finite positive numbers, and a list of empty items
         [["scaling-fit", "../inputs/records.csv", "--budgets", budgets]
          for budgets in ("x", "nan", "-5", ",")],
+        # non-finite inputs: scaling records, and originals scored by inspect --against
+        [["scaling-fit", "../inputs/nonfinite.csv"],
+         ["scaling-fit", "../inputs/nan_values.csv", "--budgets", "4194304"]],
+        [["quantize", chain, "t.kbq", "--outlier-p", "0.05"],
+         ["inspect", "t.kbq", "--against", "../inputs/chain_nan.st"],
+         ["inspect", "t.kbq", "--against", "../inputs/chain_inf.st"]],
     ]
     return cases
 
@@ -245,6 +278,8 @@ def compare(root: Path, revs: list[str]) -> int:
     differ = [f"{' '.join(a['argv'])}: {field} differs"
               for a, b in zip(calls_a, calls_b) for field in ("code", "stdout", "stderr")
               if a[field] != b[field]]
+    differ += [f"{' '.join(b['argv'])}: stdout is not strict JSON"
+               for b in calls_b if b["stdout"].startswith("{") and not _strict_json(b["stdout"])]
     files = 0
     for case_a in sorted(p for p in work_a.iterdir() if p.name.startswith("case_")):
         case_b = work_b / case_a.name
@@ -262,6 +297,18 @@ def compare(root: Path, revs: list[str]) -> int:
     for line in differ:
         print(f"  {line}")
     return 1 if differ else 0
+
+
+def _strict_json(text: str) -> bool:
+    """Whether text parses as JSON with no NaN, Infinity or -Infinity constant."""
+    def refuse(constant):
+        raise ValueError(f"non-standard constant {constant}")
+
+    try:
+        json.loads(text, parse_constant=refuse)
+    except ValueError:
+        return False
+    return True
 
 
 def main(argv=None) -> int:
