@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import accounting, codebooks, outliers, quantizer, scaling, store, synth
+from . import codebooks, quantizer, store, synth  # the others on first use, per command
 from .codebooks import CodebookKind
 from .errors import (
     DataFormatError,
@@ -84,6 +84,8 @@ def _detect_outliers(tensors: dict[str, np.ndarray], p: float) -> dict[str, tupl
     dims = dict.fromkeys(tensors, ())
     if p <= 0:
         return dims
+    from . import outliers
+
     chains: list[list[str]] = []
     for name, arr in tensors.items():
         if arr.ndim == 2 and chains and tensors[chains[-1][-1]].shape[1] == arr.shape[0]:
@@ -103,8 +105,10 @@ def _quantize_all(tensors: dict[str, np.ndarray], config: quantizer.QuantConfig,
     result: dict[str, quantizer.QuantizedTensor] = {}
     for name, arr in tensors.items():
         dims = outlier_dims[name]
-        scored = None if sums is None else sums.setdefault(name, accounting.ErrorSums())
+        scored = None if sums is None else sums[name]
         if len(dims):  # only 2-D tensors get outlier rows
+            from . import outliers
+
             result[name] = outliers.quantize_mixed(arr, dims, None, config, scored)
         else:
             result[name] = quantizer.quantize_tensor(arr, None, config, scored)
@@ -122,6 +126,8 @@ def _emit(payload: dict) -> None:
 
 
 def _tensor_summary(q, sums):
+    from . import accounting
+
     used, n_codes = sums.code_use
     breakdown = accounting.bits_per_param(q.config, element_count=q.element_count)
     return {
@@ -133,12 +139,14 @@ def _tensor_summary(q, sums):
 
 
 def cmd_quantize(args) -> int:
+    from . import accounting
+
     *source, output = args.paths
     if len(source) > 1 or (not source and args.synthetic is None):
         raise InvalidSpecError("expected INPUT OUTPUT, or OUTPUT with --synthetic")
     tensors = _load_input(source, args)
     config = _config_from_args(args)
-    sums: dict[str, accounting.ErrorSums] = {}
+    sums = {name: accounting.ErrorSums() for name in tensors}
     quantized = _quantize_all(tensors, config, sums)
     store.write_kbq(quantized, output)
     _emit(
@@ -167,6 +175,8 @@ def cmd_dequantize(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    from . import accounting
+
     quantized = store.read_kbq(args.kbq)
     against = store.read_container(args.against) if args.against else None
     tensors = {}
@@ -226,6 +236,8 @@ def _csv_cell(value) -> str:
 
 
 def cmd_sweep(args) -> int:
+    from . import accounting
+
     if len(args.paths) > 1:
         raise InvalidSpecError("sweep takes at most one input container")
     tensors = _load_input(args.paths, args)
@@ -266,13 +278,16 @@ def cmd_sweep(args) -> int:
     util, model_bits = dict.fromkeys(grid, 0.0), dict.fromkeys(grid, 0)
     outlier_dims = {p: _detect_outliers(tensors, p) for p in fractions}
     for (_, _, p), group in groups.items():
-        for name, arr in tensors.items():
-            encoded = quantizer.quantize_group(arr, outlier_dims[p][name], group,
-                                               sums=[sums[config] for config in group])
-            for config, q in zip(group, encoded):
+        for name, arr in tensors.items():  # bits from section sizes, the codes dropped unpacked
+            dims, outlier_rows, books = quantizer.encode_group(
+                arr, outlier_dims[p][name], group, sums=[sums[config] for config in group])[1:4]
+            for config, book in zip(group, books):
                 used, n_codes = sums[config].code_use
-                util[config] += q.element_count * used / n_codes
-                model_bits[config] += accounting.total_model_bits([q])
+                util[config] += arr.size * used / n_codes
+                embedded = len(book) if config.kind is CodebookKind.QUANTILE else 0
+                sizes = accounting.section_bytes(config, arr.size - outlier_rows.size, dims.size,
+                                                 outlier_rows.size, embedded)
+                model_bits[config] += 8 * sum(sizes.values())
     for config in grid:
         kind, k, block = config.kind, config.bits, config.block_size
         e_bits = codebooks.default_exponent_bits(k) if kind is CodebookKind.FLOAT else None
@@ -286,6 +301,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scaling_fit(args) -> int:
+    from . import scaling
+
     records = scaling.read_records_csv(args.records)
     budgets = []
     for item in filter(None, args.budgets.split(",")):

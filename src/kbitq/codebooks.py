@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -143,15 +142,26 @@ class Codebook:
         (x - v[j]) <= (v[j+1] - x) still picks code j over code j+1. Both
         differences are correctly rounded, so the rule is monotone in x and
         bisection over the ordered integer keys of float64 values finds the
-        boundary exactly.
+        boundary exactly. Each pair's bracket starts 4 keys either side of its
+        midpoint, a few rounds wide; a pair whose near ends do not bracket the
+        boundary (rule true at the low end, false at the high end) keeps its whole
+        [v[j], v[j+1]]. The boundary is unique, so either bracket finds it.
         """
         a, b = self.values[:-1], self.values[1:]
+
+        def left(keys):  # the tie rule at the floats of ordered keys
+            x = _ordered_key(keys).view(np.float64)
+            return (x - a) <= (b - x)
+
         lo, hi = _ordered_key(a.view(np.int64)), _ordered_key(b.view(np.int64))
+        mid = _ordered_key((a + (b - a) / 2).view(np.int64))
+        near_lo, near_hi = np.maximum(mid - 4, lo), np.minimum(mid + 4, hi)
+        near = left(near_lo) & ~left(near_hi)
+        lo, hi = np.where(near, near_lo, lo), np.where(near, near_hi, hi)
         while np.any(hi - lo > 1):
             mid = lo + (hi - lo) // 2
-            x = _ordered_key(mid).view(np.float64)
-            left = (x - a) <= (b - x)
-            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+            keep = left(mid)
+            lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
         t = _ordered_key(lo).view(np.float64)
         t.flags.writeable = False
         return t
@@ -171,17 +181,24 @@ class Codebook:
         probes = int(np.max(np.diff(start, append=t.size))).bit_length()
         return start.astype(np.uint8), np.append(t, np.full((1 << probes) - 1, np.inf)), probes
 
+    @cached_property
+    def first_bounds(self) -> np.ndarray:
+        """Each cell's first probe of nearest-code lookup: padded[start + 2^(p-1) - 1] (cells)."""
+        start, padded, probes = self.cells
+        return padded[start.astype(np.intp) + (1 << (probes - 1)) - 1]
+
 
 def cell_index(x: np.ndarray, n: int, out=None, scratch=None) -> np.ndarray:
     """Cell of x among n equal cells of [-1, 1] (x >= 1: cell n); monotone, clipped first.
-    out (intp) and scratch (float64), if given, take the cells and the scaled x."""
+    out (intp) and scratch (float64), if given, take the cells and the scaled x.
+
+    The cell is clip(x) * (n/2) + n/2, truncated: n/2 is a power of two, so the product is
+    exact and the sum rounds as (clip(x) + 1) * (n/2) does.
+    """
     scaled = np.clip(x, -1.0, 1.0, out=scratch)
-    scaled += 1.0
     scaled *= n / 2
-    if out is None:
-        return scaled.astype(np.intp)
-    np.copyto(out, scaled, casting="unsafe")
-    return out
+    out = np.empty(scaled.shape, dtype=np.intp) if out is None else out
+    return np.add(scaled, n / 2, out=out, casting="unsafe")
 
 
 def _ordered_key(bits: np.ndarray) -> np.ndarray:
@@ -300,6 +317,8 @@ def build_dynamic_codebook(spec: DynamicSpec) -> Codebook:
     different patterns (e.g. 10^-2 * 1 vs 10^-1 * 0.1) collapse reliably,
     then the set is absmax-normalized.
     """
+    from fractions import Fraction  # on first use: no other command needs it
+
     k = _check_bits(spec.total_bits)
     lo = Fraction(str(float(spec.fraction_lo)))
     hi = Fraction(str(float(spec.fraction_hi)))

@@ -134,7 +134,7 @@ def quantize_mixed(W, J, codebook: Codebook | None, config: QuantConfig,
     large row cannot inflate any block constant. With J empty this reduces
     to plain quantization. codebook None is the config's own, as in
     quantize_tensor. With sums (an ErrorSums) the matrix is scored as it is
-    encoded (see quantize_group).
+    encoded (see encode_group).
     """
     arr = np.asarray(W)
     if arr.ndim != 2:

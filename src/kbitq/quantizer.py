@@ -18,7 +18,8 @@ array and normalized in place, then walked as leaves cut along numpy's pairwise-
 tree (see _leaves), so its error sums are numpy's. Lookup, gather and code marks take
 a slab in chunks of 2^16 (see _CHUNK_ELEMENTS). Lookup counts exact decision thresholds
 through a bucket table cached per codebook, and codes are packed eight to a uint64
-word lane (see pack_indices).
+word lane (see pack_indices) as quantize_group yields each tensor; encode_group, the walk
+alone, packs none.
 """
 
 from __future__ import annotations
@@ -251,7 +252,8 @@ def lookup_indices(codebook: Codebook, x, check_finite: bool = True, out=None) -
     The index is the number of Codebook.thresholds strictly below the
     element, as searchsorted(thresholds, x, "left") counts it: Codebook.cells gives
     the count before x's cell (cells are monotone in x), and branchless bisection adds
-    those inside it. The thresholds are exact, so this equals the two-sided rule
+    those inside it, its first probe read per cell from Codebook.first_bounds. The
+    thresholds are exact, so this equals the two-sided rule
     (x - v[j]) <= (v[j+1] - x) bit for bit, ties included; out-of-range x clamps.
     check_finite=False skips the finiteness test, for values the caller has tested.
     The elements are looked up in chunks of _CHUNK_ELEMENTS, whose temporaries live in
@@ -262,7 +264,7 @@ def lookup_indices(codebook: Codebook, x, check_finite: bool = True, out=None) -
     if check_finite and not np.all(np.isfinite(arr)):
         raise InvalidValueError("cannot look up non-finite values")
     out = np.empty(arr.shape, dtype=np.intp) if out is None else out
-    start, padded, probes = codebook.cells
+    (start, padded, probes), first = codebook.cells, codebook.first_bounds
     values, indices = arr.reshape(-1), out.reshape(-1)
     for a in range(0, values.size, _CHUNK_ELEMENTS):
         chunk = values[a : a + _CHUNK_ELEMENTS]
@@ -271,11 +273,18 @@ def lookup_indices(codebook: Codebook, x, check_finite: bool = True, out=None) -
         scaled, pos = work[:m], work[m:].view(np.intp)[:m]  # an intp is at most 8 bytes
         cell_index(chunk, start.size - 1, pos, scaled)
         # pos is in range; mode "clip" writes straight into out, where "raise" would buffer it
-        np.copyto(pos, start.take(pos, out=hits, mode="clip"))
-        for i in reversed(range(probes)):
+        np.less(first.take(pos, out=scaled, mode="clip"), chunk, out=hits.view(np.bool_))
+        # a first hit is a real threshold, so start plus 2^(p-1) stays a uint8 count
+        before = start.take(pos, out=scaled.view(np.uint8)[:m], mode="clip")
+        if probes == 1:
+            np.add(before, hits, out=indices[a : a + m])
+            continue
+        # each hit adds its probe's step 2^i as a product: numpy's uint8 shifts are 8x slower
+        np.add(before, np.multiply(hits, np.uint8(1 << (probes - 1)), out=hits), out=pos)
+        for i in reversed(range(probes - 1)):
             bound = padded[(1 << i) - 1 :].take(pos, out=scaled, mode="clip")
             np.less(bound, chunk, out=hits.view(np.bool_))
-            pos += np.left_shift(hits, i, out=hits)
+            pos += np.multiply(hits, np.uint8(1 << i), out=hits)
         indices[a : a + m] = pos
     return out
 
@@ -697,21 +706,37 @@ def quantize_tensor(t, codebook: Codebook | None, config: QuantConfig,
     """Quantize a tensor of any shape with no outlier sidecar.
 
     codebook None is the config's own; a quantile one is estimated as codebook_for estimates
-    it. With sums (an ErrorSums) the tensor is scored as it is encoded (see quantize_group).
+    it. With sums (an ErrorSums) the tensor is scored as it is encoded (see encode_group).
     """
     return next(quantize_group(t, (), [config], codebook, [sums]))
 
 
 def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None):
-    """Yield t quantized under each config, its rows in dims kept at 16 bits.
+    """Yield t quantized under each config, its rows in dims kept at 16 bits: encode_group's
+    walk, then each config's codes packed as its tensor is yielded. Each tensor owns its copy
+    of the constants."""
+    arr, dims, rows, books, codes, absmax16, means16 = encode_group(t, dims, configs, codebook,
+                                                                    sums)
+    for config, book in zip(configs, books):
+        yield QuantizedTensor(  # codes.pop: each config's codes are dropped once packed
+            tuple(arr.shape), config, pack_indices(codes.pop(0), config.bits), arr.size - rows.size,
+            absmax16.copy(), None if means16 is None else means16.copy(), dims, rows,
+            book.values.copy() if config.kind is CodebookKind.QUANTILE else None,
+        )
+
+
+def encode_group(t, dims, configs, codebook: Codebook | None = None, sums=None):
+    """The walk of quantize_group, which packs nothing: returns (arr, dims, rows, books, codes,
+    absmax16, means16), t as an array, its sorted outlier rows and their binary16 values, each
+    config's book and unpacked codes (one per kept element), and the constants all share.
 
     dims holds integers in [0, len(t)), in any order and with repeats. The configs share
     block size and centering, so one walk of the kept rows normalizes each slab once and looks
-    it up under every config (see _encode_blocks); each tensor yielded owns its copy of the
-    constants. Without a codebook each config takes its own; every quantile width comes from
-    one sort of codebook_for's sample, taken before the walk. A codebook given must be the one
-    every config calls for. sums holds an ErrorSums or None per config: each slab is scored as
-    it is encoded, the outlier rows last, and code_use is set before q is yielded.
+    it up under every config (see _encode_blocks). Without a codebook each config takes its
+    own; every quantile width comes from one sort of codebook_for's sample, taken before the
+    walk. A codebook given must be the one every config calls for. sums holds an ErrorSums or
+    None per config: each slab is scored as it is encoded, the outlier rows last, which sets
+    code_use.
     """
     if not configs or len({(c.block_size, c.centered) for c in configs}) > 1:
         raise InvalidSpecError("a group needs one or more configs of one block size and centering")
@@ -727,21 +752,16 @@ def quantize_group(t, dims, configs, codebook: Codebook | None = None, sums=None
     outliers = arr[dims] if dims.size else np.zeros(0)
     _check_finite(outliers)  # no slab holds these rows; _stored16 lets NaN through
     rows = _stored16(outliers, "outlier value").reshape(dims.size, -1 if dims.size else 0)
-    n = arr.size - rows.size
     sums = sums or [None] * len(configs)
     widths = {c.bits for c in configs if c.kind is CodebookKind.QUANTILE and codebook is None}
     quantile = _quantile_books(widths, arr, configs[0]) if widths else {}
     books = [codebook or (quantile[c.bits] if c.kind is CodebookKind.QUANTILE
                           else codebook_for(arr, c)) for c in configs]
-    codes, absmax16, means16 = _encode_blocks(arr, dims, n, books, configs, sums)
-    for config, book, config_sums in zip(configs, books, sums):
+    codes, absmax16, means16 = _encode_blocks(arr, dims, arr.size - rows.size, books, configs, sums)
+    for book, config_sums in zip(books, sums):
         if config_sums is not None:
             config_sums.end_tensor(outliers, rows, len(book))
-        yield QuantizedTensor(  # codes.pop: each config's codes are dropped once packed
-            tuple(arr.shape), config, pack_indices(codes.pop(0), config.bits), n, absmax16.copy(),
-            None if means16 is None else means16.copy(), dims, rows,
-            book.values.copy() if config.kind is CodebookKind.QUANTILE else None,
-        )
+    return arr, dims, rows, books, codes, absmax16, means16
 
 
 def reconstruct_codebook(q: QuantizedTensor) -> Codebook:

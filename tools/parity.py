@@ -12,8 +12,8 @@ outlier rows; a chained F16 pair wider than one slab; a 0-d tensor and a
 container with no tensors; short, overrun and cut-short containers and KBQ
 files, a directory as input, and commands that write over their own input;
 sweep grids (a 144-config one, one whose whole blocks are longer than a
-slab, and one of an all-F16 chain with outlier rows and quantile widths,
-among them); `codebook`, quantile books sampled from a mixed F32/F16
+slab, one of an all-F16 chain with outlier rows and quantile widths, and a
+whole-block quantile8 one whose book takes two lookup probes, among them); `codebook`, quantile books sampled from a mixed F32/F16
 container among them; `scaling-fit`; and the usage, runtime and format
 errors, NaN and infinite originals of `inspect --against` and scaling
 records among them. The inputs are written by this script, not by kbitq, so
@@ -107,6 +107,9 @@ def write_inputs(root: Path) -> None:
                                   for p, v in (("3.0", "nan"), ("4.0", "inf"))]
     (root / "nan_values.csv").write_text("\n".join(nan_values) + "\n")
     (root / "latin1.csv").write_bytes("\n".join(records[:2]).encode() + b"\xff\n")
+    # heavy tails: the whole-block quantile8 book of this tensor takes 2 lookup probes
+    heavy = np.random.Generator(np.random.Philox(key=2520)).standard_t(2, (1024, 1024))
+    _write_container(root / "heavy.st", {"w": heavy.astype("<f4")})
 
 
 def _write_container(path: Path, tensors: dict[str, np.ndarray]) -> None:
@@ -176,6 +179,9 @@ def battery() -> list[list[list[str]]]:
           "--bits", "3,4,8", "--dtype", "int,float,quantile", "--block-size", "64,whole"]],
         [["sweep", "--synthetic", "gaussian", "--shape", "64x64,64x64", "--dtype",
           "quantile,int", "--bits", "2,5", "--outlier-p", "0.1,0", "--centered", "1,0"]],
+        # a book of more than one probe: its lookup runs past the first one
+        [["sweep", "../inputs/heavy.st", "--dtype", "quantile", "--bits", "8", "--block-size",
+          "whole"]],
         [["codebook", "--kind", kind, "--bits", bits, "--sample", chain]
          for kind in KINDS for bits in ("3", "8")],
         # an all-F16 chain: each slab cast from binary16, outlier rows at two fractions
