@@ -32,56 +32,7 @@ _SUBMODULES = {*_EXPORTS, "cli", "errors"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitsBreakdown",
-    "Codebook",
-    "CodebookKind",
-    "DynamicSpec",
-    "ErrorReport",
-    "FloatSpec",
-    "LayerChain",
-    "MetricKind",
-    "OutlierSet",
-    "QuantConfig",
-    "QuantileSpec",
-    "QuantizedTensor",
-    "ScalingCurve",
-    "ScalingRecord",
-    "TensorContainer",
-    "bits_per_param",
-    "build_dynamic_codebook",
-    "build_float_codebook",
-    "build_int_codebook",
-    "build_quantile_codebook",
-    "build_uint_codebook",
-    "codebook_for",
-    "default_exponent_bits",
-    "dequantize_tensor",
-    "detect_outlier_dims",
-    "error_metrics",
-    "estimate_quantiles",
-    "fit_curves",
-    "heuristic_exponent_bits",
-    "lookup_index",
-    "lookup_indices",
-    "make_tensor",
-    "pack_indices",
-    "parallelism_offsets",
-    "pareto_optimal_precision",
-    "payload_sections",
-    "pearson_correlation",
-    "quantize_mixed",
-    "quantize_tensor",
-    "read_container",
-    "read_kbq",
-    "read_records_csv",
-    "reconstruct_codebook",
-    "scaling_report",
-    "total_model_bits",
-    "unpack_indices",
-    "write_container",
-    "write_kbq",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -131,10 +131,12 @@ class ErrorSums:
         self.code_use = None  # (codes used, codes in the book) of the last tensor ended
 
     @staticmethod
-    def partial(original, dequantized, codes=None, spend=False, signal=None) -> tuple:
+    def partial(original, dequantized, codes=None, spend=False, signal=None,
+                n_codes: int = 256) -> tuple:
         """(n, signal, abs, max and squared error, codes used or None) of one tensor or slab.
 
         spend=True lets the sums overwrite dequantized (float64); a signal given is not summed.
+        codes index a book of n_codes (see _marked).
         """
         a = np.asarray(original, dtype=np.float64)
         b = np.asarray(dequantized, dtype=np.float64)
@@ -147,7 +149,8 @@ class ErrorSums:
         abs_err, max_err = float(np.sum(err)), float(np.max(err, initial=0.0))
         sq_err = float(np.sum(np.square(err, out=err)))
         signal = float(np.sum(np.square(a, out=err))) if signal is None else signal
-        return a.size, signal, abs_err, max_err, sq_err, None if codes is None else _marked(codes)
+        used = None if codes is None else _marked(codes, n_codes)
+        return a.size, signal, abs_err, max_err, sq_err, used
 
     @staticmethod
     def merge(left: tuple, right: tuple) -> tuple:
@@ -185,7 +188,7 @@ class ErrorSums:
             x, codes = _float64(pieces), indices[lo:hi]
             _check_finite(x)
             values = _decode(codebook, codes, q.absmax, q.means, blocks, q.block_size)
-            return self.partial(x, values, codes, spend=True)
+            return self.partial(x, values, codes, spend=True, n_codes=len(codebook))
 
         partials = list(_pooled(score, _kept_leaves(a, q.outlier_dims, q.block_size)))
         outliers = a[q.outlier_dims] if q.outlier_dims.size else ()
@@ -227,14 +230,20 @@ def error_metrics(original, dequantized, q: QuantizedTensor) -> ErrorReport:
 def code_use(q: QuantizedTensor) -> tuple[int, int]:
     """(codes used by at least one element, codes in its codebook), checked as the decoder does."""
     codebook, codes = _checked_codes(q)
-    return int(np.count_nonzero(_marked(codes))), len(codebook)
+    return int(np.count_nonzero(_marked(codes, len(codebook)))), len(codebook)
 
 
-def _marked(codes) -> np.ndarray:
-    """Which of the 256 codes of at most 8 bits occur in codes: a mask, marked chunk by chunk."""
+def _marked(codes, n_codes: int = 256) -> np.ndarray:
+    """Which of the 256 codes of at most 8 bits occur in codes: a mask, marked chunk by chunk.
+
+    codes are below n_codes, the size of their book, so once all n_codes are marked the mask is
+    final and the chunks left are not read.
+    """
     used = np.zeros(256, dtype=bool)
     for _, positions in _widened(np.ravel(codes)):
         used[positions] = True
+        if used[:n_codes].all():
+            break
     return used
 
 

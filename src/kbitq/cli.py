@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -398,7 +399,17 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Entry point of the console script and `python -m kbitq`: main, then os._exit, with no
+    interpreter teardown. Nothing is in flight once main returns: the pool's tasks are drained
+    and every output is closed and renamed. If flushing stdout or stderr raises, sys.exit ends
+    the process instead, so a closed or broken stdout reports as it always has."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # also a stream Python set to None, as it does for a closed descriptor
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -257,13 +257,22 @@ def lookup_indices(codebook: Codebook, x, check_finite: bool = True, out=None) -
     (x - v[j]) <= (v[j+1] - x) bit for bit, ties included; out-of-range x clamps.
     check_finite=False skips the finiteness test, for values the caller has tested.
     The elements are looked up in chunks of _CHUNK_ELEMENTS, whose temporaries live in
-    this thread's workspace (see _scratch). out, a C-contiguous integer array of x's shape,
-    receives the indices and is returned; None returns a new intp array.
+    this thread's workspace (see _scratch). out, a writable C-contiguous array of x's shape
+    whose integer dtype holds len(codebook) - 1, receives the indices and is returned; any
+    other out raises InvalidValueError. None returns a new intp array.
     """
     arr = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(arr.shape, dtype=np.intp)
+    elif not (isinstance(out, np.ndarray) and out.flags.c_contiguous and out.flags.writeable
+              and out.shape == arr.shape and out.dtype.kind in "iu"
+              and np.iinfo(out.dtype).max >= len(codebook) - 1):
+        got = (f"{out.dtype} {out.shape}, C-contiguous {out.flags.c_contiguous}, writable "
+               f"{out.flags.writeable}") if isinstance(out, np.ndarray) else type(out).__name__
+        raise InvalidValueError(f"out must be a writable C-contiguous integer array of shape "
+                                f"{arr.shape} that holds {len(codebook) - 1}, got {got}")
     if check_finite and not np.all(np.isfinite(arr)):
         raise InvalidValueError("cannot look up non-finite values")
-    out = np.empty(arr.shape, dtype=np.intp) if out is None else out
     (start, padded, probes), first = codebook.cells, codebook.first_bounds
     values, indices = arr.reshape(-1), out.reshape(-1)
     for a in range(0, values.size, _CHUNK_ELEMENTS):
@@ -663,7 +672,8 @@ def _encode_blocks(t, dims, n: int, books, configs, sums):
             partial = None
             if config_sums is not None:
                 values = _decode(book, leaf_codes, absmax16, means16, blocks, block_size)
-                partial = config_sums.partial(x, values, leaf_codes, spend=True, signal=signal)
+                partial = config_sums.partial(x, values, leaf_codes, spend=True, signal=signal,
+                                              n_codes=len(book))
                 signal = partial[1]
             partials.append(partial)
         return partials
@@ -843,8 +853,15 @@ def dequantize_tensor(q: QuantizedTensor, codebook: Codebook | None = None,
     Looks up each code, scales by the block constant, re-adds the block
     mean when present, and restores outlier rows from the sidecar. If no
     codebook is passed it is reconstructed from the tensor itself; one
-    passed in must equal it (see _check_codebook_config).
+    passed in must equal it (see _check_codebook_config). A dtype that is not a real float
+    type raises InvalidSpecError, since the decoded values would be truncated or wrapped.
     """
+    try:
+        kind = np.dtype(dtype).kind
+    except TypeError:
+        kind = None
+    if kind != "f":
+        raise InvalidSpecError(f"dtype must be a float type, got {dtype!r}")
     codebook, indices = _checked_codes(q, codebook)  # checks q before its shape sizes anything
     out = np.empty(q.shape, dtype=dtype)
 

@@ -16,12 +16,16 @@ slab, one of an all-F16 chain with outlier rows and quantile widths, and a
 whole-block quantile8 one whose book takes two lookup probes, among them); `codebook`, quantile books sampled from a mixed F32/F16
 container among them; `scaling-fit`; and the usage, runtime and format
 errors, NaN and infinite originals of `inspect --against` and scaling
-records among them. The inputs are written by this script, not by kbitq, so
-both revisions read the same bytes.
+records among them. A few more cases run each call through `python -m kbitq`
+in a fresh interpreter, so the entry point's own exit is compared too:
+quantize, dequantize, sweep, a usage error and a closed stdout. The inputs
+are written by this script, not by kbitq, so both revisions read the same
+bytes.
 
 Exit codes, stdout, stderr and every file a case writes are compared byte
-for byte, and a stdout of the second revision that starts with `{` must
-parse as strict JSON (no NaN or Infinity constants). The summary goes to
+for byte (a fresh call's traceback by its last line, since its frames name
+each revision's own files), and a stdout of the second revision that starts
+with `{` must parse as strict JSON (no NaN or Infinity constants). The summary goes to
 stdout; the exit status is 0 when every call matched and 1 otherwise. This
 is a development tool, not part of the tests; it needs Python 3.10.12 or
 3.11.4 and later (tarfile's "data" filter).
@@ -234,24 +238,56 @@ def battery() -> list[list[list[str]]]:
     return cases
 
 
-def run_battery(work: Path, result_path: Path) -> None:
-    """Run every case in work/case_<i> with the kbitq on sys.path; write the outcomes as JSON."""
+def fresh_battery() -> list[list[list[str]]]:
+    """Cases whose calls each run as `python -m kbitq` in a fresh interpreter; a call that
+    starts with ">&-" runs with its stdout closed, as the shell's `>&-` closes it."""
+    chain = "../inputs/chain.st"
+    return [
+        [["quantize", chain, "t.kbq", "--outlier-p", "0.05"]],
+        [["quantize", chain, "t.kbq", "--dtype", "quantile"], ["dequantize", "t.kbq", "d.st"]],
+        [["sweep", chain, *SWEEP_144]],
+        [["quantize", "t.kbq", "--synthetic", "gaussian", "--bits", "9"]],
+        [[">&-", "quantize", chain, "t.kbq"], [">&-", "sweep", chain, "--dtype", "uint"]],
+    ]
+
+
+def run_fresh(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of argv run through `python -m kbitq` in this directory,
+    with stdout block-buffered (PYTHONUNBUFFERED unset), as it is by default."""
+    closed = argv[0] == ">&-"
+    command = [sys.executable, "-m", "kbitq", *argv[closed:]]
+    if closed:
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run(command, capture_output=True, text=True, env=env)
+    head, sep, trace = done.stderr.partition("Traceback (most recent call last):\n")
+    return done.returncode, done.stdout, head + sep + trace.rstrip("\n").rsplit("\n", 1)[-1]
+
+
+def run_here(argv: list[str]) -> tuple[int | str, str, str]:
+    """(exit code, stdout, stderr) of cli.main(argv) in this interpreter."""
     from kbitq import cli
 
-    outcomes = []
-    for i, case in enumerate(battery()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # a traceback is an outcome to compare, not a stop
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_battery(work: Path, result_path: Path) -> None:
+    """Run every case in work/case_<i> with the kbitq on sys.path; write the outcomes as JSON."""
+    outcomes, cases = [], battery()
+    for i, case in enumerate(cases + fresh_battery()):
         case_dir = work / f"case_{i:03d}"
         case_dir.mkdir()
         os.chdir(case_dir)
         for argv in case:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except Exception as exc:  # a traceback is an outcome to compare, not a stop
-                    code = f"raised {type(exc).__name__}: {exc}"
-            outcomes.append({"case": i, "argv": argv, "code": code,
-                             "stdout": out.getvalue(), "stderr": err.getvalue()})
+            code, out, err = (run_here if i < len(cases) else run_fresh)(argv)
+            outcomes.append({"case": i, "argv": argv, "code": code, "stdout": out,
+                             "stderr": err})
     result_path.write_text(json.dumps(outcomes))
 
 
@@ -297,8 +333,9 @@ def compare(root: Path, revs: list[str]) -> int:
             elif not filecmp.cmp(case_a / name, case_b / name, shallow=False):
                 differ.append(f"{case_a.name}/{name}: bytes differ")
     failures = sum(isinstance(c["code"], str) for c in calls_a + calls_b)
+    n_cases = len(battery()) + len(fresh_battery())
     print(f"parity {sha_a[:12]} -> {sha_b[:12]}: {len(calls_a)} calls in "
-          f"{len(battery())} cases, {files} written files; {len(differ)} differences; "
+          f"{n_cases} cases, {files} written files; {len(differ)} differences; "
           f"{failures} calls raised instead of returning an exit code")
     for line in differ:
         print(f"  {line}")
