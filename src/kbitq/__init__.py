@@ -19,8 +19,8 @@ _EXPORTS = {
                   "estimate_quantiles", "heuristic_exponent_bits"),
     "outliers": ("LayerChain", "OutlierSet", "detect_outlier_dims", "quantize_mixed"),
     "quantizer": ("QuantConfig", "QuantizedTensor", "codebook_for", "dequantize_tensor",
-                  "lookup_index", "lookup_indices", "pack_indices", "quantize_tensor",
-                  "reconstruct_codebook", "unpack_indices"),
+                  "lookup_indices", "pack_indices", "quantize_tensor", "reconstruct_codebook",
+                  "unpack_indices"),
     "scaling": ("MetricKind", "ScalingCurve", "ScalingRecord", "fit_curves",
                 "parallelism_offsets", "pareto_optimal_precision", "read_records_csv",
                 "scaling_report"),

@@ -121,9 +121,20 @@ def _config_from_args(args):
                                  args.outlier_p, args.exponent_bits)
 
 
-def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit(payload: dict | str) -> None:
+    """Write a payload to stdout, a dict as indented JSON and a str (CSV) as it is, and flush
+    it. A stdout Python set to None (descriptor 1 closed at start-up) or a broken pipe raises
+    OSError here, inside main; descriptor 1 then points at os.devnull, as Python's note on
+    SIGPIPE advises, so that the interpreter's flush at exit meets no fault again."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 def _tensor_summary(q, sums):
@@ -297,7 +308,7 @@ def cmd_sweep(args) -> int:
                  config.outlier_fraction, model_bits[config] / total_elements,
                  r.mae, r.mse, r.max_abs_error, r.snr_db, r.lossless, r.codebook_utilization)
         rows.append(",".join(_csv_cell(v) for v in cells))
-    sys.stdout.write("\n".join(rows) + "\n")
+    _emit("\n".join(rows) + "\n")
     return 0
 
 
@@ -384,15 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, prog = build_parser(), "kbitq"
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse wrote a usage error to stderr, or help to stdout
+            if sys.stdout is not None:
+                _emit("")  # flushes the help
+            return exc.code if isinstance(exc.code, int) else 2
+        prog = f"kbitq {args.command}"
         return args.func(args)
     except (KbitqError, OSError) as exc:
-        print(f"kbitq {args.command}: {exc}", file=sys.stderr)
+        print(f"{prog}: {exc}", file=sys.stderr)
         if isinstance(exc, _USAGE_ERRORS):
             return 2
         return 3 if isinstance(exc, DataFormatError) else 1
@@ -400,16 +414,10 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """Entry point of the console script and `python -m kbitq`: main, then os._exit, with no
-    interpreter teardown. Nothing is in flight once main returns: the pool's tasks are drained
-    and every output is closed and renamed. If flushing stdout or stderr raises, sys.exit ends
-    the process instead, so a closed or broken stdout reports as it always has."""
-    code = main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except Exception:  # also a stream Python set to None, as it does for a closed descriptor
-        sys.exit(code)
-    os._exit(code)
+    interpreter teardown. Nothing is in flight once main returns: the pool's tasks are drained,
+    every output is closed and renamed, stdout is flushed, and stderr, line-buffered, holds
+    only whole lines, each written out at its newline."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -133,7 +133,7 @@ class QuantizedTensor:
 
     shape: tuple[int, ...]
     config: QuantConfig
-    packed_indices: bytes
+    packed_indices: np.ndarray
     n_quantized: int
     absmax: np.ndarray
     means: np.ndarray | None
@@ -155,21 +155,21 @@ class QuantizedTensor:
 
     def sections(self) -> dict[str, np.ndarray | None]:
         """The tensor's arrays by KBQ section name; means and codebook may be None."""
-        return {"indices": np.frombuffer(self.packed_indices, KBQ_SECTIONS["indices"]),
-                "absmax": self.absmax, "means": self.means, "outlier_dims": self.outlier_dims,
-                "outlier_rows": self.outlier_rows, "codebook": self.codebook_values}
+        return {"indices": self.packed_indices, "absmax": self.absmax, "means": self.means,
+                "outlier_dims": self.outlier_dims, "outlier_rows": self.outlier_rows,
+                "codebook": self.codebook_values}
 
     def validate(self) -> None:
         """Raise CorruptDataError unless the decoder can honour this tensor.
 
-        shape is a tuple, config a QuantConfig and packed_indices bytes; shape sizes and
-        n_quantized are integers >= 0; each section is an ndarray of its KBQ_SECTIONS dtype
-        and section_counts' size, 1-D but for outlier rows, where quantized elements and
+        shape is a tuple and config a QuantConfig; shape sizes and n_quantized are integers
+        >= 0; each section, the packed indices among them, is an ndarray of its KBQ_SECTIONS
+        dtype and section_counts' size, 1-D but for outlier rows, where quantized elements and
         outlier rows of width prod(shape[1:]) split the shape and outlier dims ascend strictly
         within [0, shape[0]); means are given iff centered; only a quantile tensor embeds a
         (valid) codebook.
         """
-        for name, kind in (("shape", tuple), ("config", QuantConfig), ("packed_indices", bytes)):
+        for name, kind in (("shape", tuple), ("config", QuantConfig)):
             if not isinstance(vars(self)[name], kind):
                 raise CorruptDataError(f"{name} is a {type(vars(self)[name]).__name__}, "
                                        f"not a {kind.__name__}")
@@ -298,11 +298,6 @@ def lookup_indices(codebook: Codebook, x, check_finite: bool = True, out=None) -
     return out
 
 
-def lookup_index(codebook: Codebook, x: float) -> int:
-    """Scalar form of lookup_indices."""
-    return int(lookup_indices(codebook, np.asarray(float(x))))
-
-
 # Elements per slab of whole blocks; bounds the encoder's and decoder's temporaries.
 _SLAB_ELEMENTS = 1 << 18
 # Elements per chunk of a slab task's lookup, gather and code marks: numpy releases and
@@ -410,8 +405,9 @@ def _merge_lanes(words: np.ndarray, k: int, pack: bool) -> None:
             words |= moved
 
 
-def pack_indices(indices, k: int) -> bytes:
-    """Pack integer code indices in [0, 2^k) into a little-endian bitstream, k bits each.
+def pack_indices(indices, k: int) -> np.ndarray:
+    """Pack integer code indices in [0, 2^k) into a little-endian bitstream, k bits each, held
+    as a 1-D uint8 array (the KBQ_SECTIONS["indices"] dtype).
 
     Code i occupies stream bits [i*k, (i+1)*k), bytes filled LSB-first,
     the final byte zero-padded. Eight codes fill exactly k bytes, so each
@@ -421,12 +417,10 @@ def pack_indices(indices, k: int) -> bytes:
     lane by lane, so ranges of lanes run on the slab pool.
     """
     _check_bits(k)
-    arr = np.asarray(indices).ravel()
-    if arr.size == 0:
-        return b""
-    if arr.dtype.kind not in "iu":
+    arr = np.asarray(indices).ravel()  # no codes, of any dtype, pack to an empty stream
+    if arr.size and arr.dtype.kind not in "iu":
         raise InvalidValueError(f"indices must be integers, got {arr.dtype}")
-    if arr.min() < 0 or arr.max() >= 2**k:
+    if arr.size and (arr.min() < 0 or arr.max() >= 2**k):
         raise InvalidValueError(f"indices must be in [0, 2^{k})")
     groups = -(-arr.size // 8)
     stream = np.empty(groups * k, dtype=np.uint8)
@@ -440,11 +434,12 @@ def pack_indices(indices, k: int) -> bytes:
         stream[a * k : b * k].reshape(-1, k)[...] = lanes.reshape(-1, 8)[:, :k]
 
     list(_pooled(merge, _lane_ranges(groups)))
-    return stream[: -(-arr.size * k // 8)].tobytes()
+    return stream[: -(-arr.size * k // 8)]
 
 
-def unpack_indices(data: bytes, k: int, count: int) -> np.ndarray:
-    """Inverse of pack_indices: recover `count` (at least 0) k-bit indices.
+def unpack_indices(data: np.ndarray, k: int, count: int) -> np.ndarray:
+    """Inverse of pack_indices: recover `count` (at least 0) k-bit indices from data, a 1-D
+    uint8 array, of any strides, that holds at least their ceil(count * k / 8) bytes.
 
     Each k-byte group is loaded into a uint64 lane and the merges undone,
     ranges of lanes on the slab pool.
@@ -452,13 +447,11 @@ def unpack_indices(data: bytes, k: int, count: int) -> np.ndarray:
     _check_bits(k)
     if count < 0:
         raise InvalidValueError(f"cannot unpack a negative count of indices, got {count}")
-    if count == 0:
-        return np.zeros(0, dtype=np.uint8)
     needed = -(-count * k // 8)
     if len(data) < needed:
         raise LengthError(f"need {needed} bytes for {count} {k}-bit indices, got {len(data)}")
     groups = -(-count // 8)
-    stream = np.frombuffer(data, dtype=np.uint8, count=needed)
+    stream = data[:needed]
     lanes = np.zeros((groups, 8), dtype=np.uint8)
 
     def merge(a: int, b: int) -> None:  # lanes [a, b)

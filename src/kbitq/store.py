@@ -11,7 +11,7 @@ quantizer.KBQ_SECTIONS. All multi-byte integers are little-endian.
 Both readers take a file's bytes from a read-only mapping of it, and read
 them whole only where the OS maps none (an empty file, a pipe). Container
 tensors are views of the mapping; a KBQ section is copied once, into an
-array or bytes of its tensor's own. Files are written to a sibling and
+array of its tensor's own. Files are written to a sibling and
 renamed over the path, so a mapping keeps the bytes it was made of.
 """
 
@@ -284,7 +284,7 @@ def _load_kbq(path, blob: mmap.mmap | bytes) -> dict[str, QuantizedTensor]:
                                  entry["centered"], entry["outlier_fraction"],
                                  dtype["exponent_bits"])
 
-            def sec(what: str, code: str) -> np.ndarray | bytes:  # counts: q.validate()
+            def sec(what: str, code: str) -> np.ndarray:  # counts: q.validate()
                 if what not in sections:
                     raise CorruptDataError(f"missing section {what!r}")
                 offset, length = map(_whole, sections[what])
@@ -294,8 +294,6 @@ def _load_kbq(path, blob: mmap.mmap | bytes) -> dict[str, QuantizedTensor]:
                         f"section {what!r} [{offset}, {offset + length}) is not whole "
                         f"{code} values inside the file"
                     )
-                if what == "indices":  # packed codes are bytes
-                    return blob[offset : offset + length]
                 return np.frombuffer(blob, "<" + code, length // size, offset).astype(code)
 
             quantile = config.kind is CodebookKind.QUANTILE  # no other tensor reads a codebook

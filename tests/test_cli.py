@@ -379,7 +379,8 @@ class TestZeroSizeTensor:
         kbq, st = tmp_path / "e.kbq", tmp_path / "e.st"
         q = QuantizedTensor(
             shape=(0, 6), config=QuantConfig(kind="int", bits=4, block_size=64),
-            packed_indices=b"", n_quantized=0, absmax=np.zeros(0, np.float16), means=None,
+            packed_indices=np.zeros(0, np.uint8), n_quantized=0, absmax=np.zeros(0, np.float16),
+            means=None,
             outlier_dims=np.zeros(0, np.int32), outlier_rows=np.zeros((0, 0), np.float16),
         )
         write_kbq({"w": q}, kbq)

@@ -1,12 +1,12 @@
 """The entry point ends the process with os._exit, the code marks stop once a book is full,
 and two library arguments are refused at the array boundary.
 
-`python -m kbitq` (cli.run) flushes stdout and stderr and ends with os._exit, skipping the
-interpreter's teardown. Each command below runs twice, each time in a fresh interpreter: through
-the entry point, and as `sys.exit(cli.main(argv))`. Exit code, stdout, stderr and the files the
-command leaves must be the same, and no `.tmp` sibling may be left behind. Children run with
-block-buffered stdout (PYTHONUNBUFFERED unset), as a terminal-less shell runs them, so a write
-that fails at the final flush fails there on both sides.
+cli.main writes and flushes stdout itself, and `python -m kbitq` (cli.run) then ends with
+os._exit, skipping the interpreter's teardown. Each command below runs twice, each time in a fresh
+interpreter: through the entry point, and as `sys.exit(cli.main(argv))`. Exit code, stdout, stderr
+and the files the command leaves must be the same, and no `.tmp` sibling may be left behind.
+Children run with block-buffered stdout (PYTHONUNBUFFERED unset), as a terminal-less shell runs
+them, so a payload that fits the buffer meets a broken pipe only at main's flush.
 """
 
 import os
@@ -105,8 +105,8 @@ def test_entry_point_reports_as_sys_exit(inputs, argv, code):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (CASES["quantize"][0], 1),  # the payload's write meets no stdout: a traceback
-    (CASES["usage-error"][0], 2),  # nothing is written to stdout: the final flush fails
+    (CASES["quantize"][0], 1),  # the payload meets no stdout: one error line
+    (CASES["usage-error"][0], 2),  # nothing is written to stdout
     (CASES["runtime-error"][0], 1),
 ], ids=["quantize", "usage-error", "runtime-error"])
 def test_closed_stdout_reports_as_sys_exit(inputs, argv, code):
@@ -131,7 +131,7 @@ def test_sweep_into_a_reader_that_stops_early(inputs):
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv, codes", [
     (SWEEP_144, (1, 1)),  # rows past the buffer: the write in main breaks, either way
-    (["codebook", "--kind", "int", "--bits", "3"], (120, 1)),  # buffered: the final flush breaks
+    (["codebook", "--kind", "int", "--bits", "3"], (1, 1)),  # buffered: the flush in main breaks
 ], ids=["sweep-144", "codebook"])
 def test_output_into_a_closed_pipe(inputs, argv, codes, unbuffered):
     """A reader gone before anything is written."""
@@ -147,6 +147,23 @@ def test_output_into_a_closed_pipe(inputs, argv, codes, unbuffered):
         results[launcher] = (child.returncode, reported(err))
     assert results["run"] == results["main"]
     assert results["run"][0] == codes[unbuffered] and "Broken pipe" in results["run"][1]
+
+
+def test_a_stdout_fault_is_one_error_line(inputs):
+    """A closed stdout, or a pipe whose reader is gone, ends the command with exit 1 and one
+    line on stderr: no traceback, and no code outside 0-3."""
+    closed = same_outcome(CASES["quantize"][0], inputs, close_stdout=True)
+    assert closed[:3] == (1, "", "kbitq quantize: stdout is closed\n")
+    for argv, prog in ((["codebook", "--kind", "int", "--bits", "3"], "kbitq codebook"),
+                       (["--help"], "kbitq")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = launch("run", argv, inputs, stdout=write_end)
+        finally:
+            os.close(write_end)
+        _, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (1, f"{prog}: [Errno 32] Broken pipe\n")
 
 
 def book_codes(n_codes: int, fills: str) -> np.ndarray:

@@ -59,14 +59,14 @@ class TestStoredDtypes:
 
 
 class TestFieldKinds:
-    """A field that is not the tuple, config, bytes or array it should be is corrupt data,
-    not a TypeError or AttributeError from whatever reads it first."""
+    """A field that is not the tuple, config or array it should be is corrupt data, not a
+    TypeError or AttributeError from whatever reads it first."""
 
     @pytest.mark.parametrize("field, value, named", [
         ("shape", [8, 16], "shape"),
         ("config", {"kind": "int", "bits": 4}, "config"),
-        ("packed_indices", "abc", "packed_indices"),
-        ("packed_indices", np.zeros(64, np.uint8), "packed_indices"),
+        ("packed_indices", "abc", "indices"),
+        ("packed_indices", bytes(64), "indices"),
         ("absmax", [1.0], "absmax"),
         ("means", [0.0] * 8, "means"),
         ("outlier_dims", [0], "outlier_dims"),

@@ -17,7 +17,6 @@ from kbitq import (
     codebook_for,
     default_exponent_bits,
     dequantize_tensor,
-    lookup_index,
     lookup_indices,
     pack_indices,
     quantize_tensor,
@@ -61,22 +60,22 @@ def brute_force_lookup(values, xs):
 class TestLookup:
     def test_exact_member_int8(self):
         book = build_int_codebook(8)
-        idx = lookup_index(book, 83 / 127)
+        idx = lookup_indices(book, np.asarray(83 / 127))
         assert book.values[idx] == 83 / 127
 
     def test_zero_maps_to_zero_code(self):
         for book in (build_int_codebook(5), build_dynamic_codebook(DynamicSpec(4))):
-            assert book.values[lookup_index(book, 0.0)] == 0.0
+            assert book.values[lookup_indices(book, np.asarray(0.0))] == 0.0
 
     def test_tie_breaks_toward_smaller_index(self):
         book = build_int_codebook(2)  # values [-1, 0, 1]
-        assert lookup_index(book, 0.5) == 1
-        assert lookup_index(book, -0.5) == 0
+        assert lookup_indices(book, np.asarray(0.5)) == 1
+        assert lookup_indices(book, np.asarray(-0.5)) == 0
 
     def test_out_of_range_clamps(self):
         book = build_int_codebook(4)
-        assert lookup_index(book, 7.3) == len(book) - 1
-        assert lookup_index(book, -2.0) == 0
+        assert lookup_indices(book, np.asarray(7.3)) == len(book) - 1
+        assert lookup_indices(book, np.asarray(-2.0)) == 0
 
     def test_matches_brute_force(self):
         book = build_int_codebook(6)
@@ -86,7 +85,7 @@ class TestLookup:
     def test_non_finite_rejected(self):
         book = build_int_codebook(4)
         with pytest.raises(InvalidValueError):
-            lookup_index(book, float("nan"))
+            lookup_indices(book, np.asarray(float("nan")))
         with pytest.raises(InvalidValueError):
             lookup_indices(book, np.array([0.0, np.inf]))
 
@@ -214,7 +213,7 @@ class TestBucketLookup:
 
 def reference_pack(indices, k):
     bits = np.unpackbits(np.asarray(indices, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-    return np.packbits(bits[:, :k].ravel(), bitorder="little").tobytes()
+    return np.packbits(bits[:, :k].ravel(), bitorder="little")
 
 
 def reference_unpack(data, k, count):
@@ -230,12 +229,11 @@ class TestWordLanes:
         indices = rng(50 + k * 100 + n).integers(0, 2**k, n)
         indices[0], indices[-1] = 2**k - 1, 0 if n > 1 else 2**k - 1
         packed = pack_indices(indices, k)
-        assert packed == reference_pack(indices, k)
+        assert packed.dtype == np.uint8 and np.array_equal(packed, reference_pack(indices, k))
         # stray padding bits and trailing bytes must not leak into the codes
-        noisy = bytearray(packed)
-        noisy[-1] |= 0xFF << ((n * k) % 8 or 8) & 0xFF
-        noisy += b"\xff\xa5"
-        for data in (packed, bytes(noisy)):
+        noisy = np.concatenate([packed, np.array([0xFF, 0xA5], np.uint8)])
+        noisy[packed.size - 1] |= 0xFF << ((n * k) % 8 or 8) & 0xFF
+        for data in (packed, noisy):
             out = unpack_indices(data, k, n)
             assert out.dtype == np.uint8
             assert np.array_equal(out, reference_unpack(data, k, n))
@@ -244,7 +242,8 @@ class TestWordLanes:
 
 class TestPacking:
     def test_known_nibble_layout(self):
-        assert pack_indices([1, 2], 4) == b"\x21"
+        packed = pack_indices([1, 2], 4)
+        assert packed.dtype == np.uint8 and np.array_equal(packed, [0x21])
 
     def test_three_bit_payload_size(self):
         assert len(pack_indices(list(range(8)), 3)) == 3
@@ -268,7 +267,8 @@ class TestPacking:
             pack_indices(codes, 4)
 
     def test_empty_codes_pack_to_nothing(self):
-        assert pack_indices([], 4) == pack_indices(np.zeros(0), 4) == b""
+        for packed in (pack_indices([], 4), pack_indices(np.zeros(0), 4)):
+            assert packed.dtype == np.uint8 and np.array_equal(packed, np.zeros(0, np.uint8))
 
     def test_negative_count_rejected(self):
         with pytest.raises(InvalidValueError, match="negative count"):
@@ -341,7 +341,8 @@ class TestQuantizeRoundTrip:
         q1 = quantize_tensor(x, book, config)
         y = dequantize_tensor(q1, book)
         q2 = quantize_tensor(y, book, config)
-        assert q1.packed_indices == q2.packed_indices
+        assert q1.packed_indices.dtype == q2.packed_indices.dtype == np.uint8
+        assert np.array_equal(q1.packed_indices, q2.packed_indices)
         assert np.array_equal(q1.absmax, q2.absmax)
 
     def test_quantile_requantization_stays_bounded(self):
@@ -612,7 +613,7 @@ class TestQuantizedTensorEquality:
          ("outlier_rows", lambda a: a.reshape(-1)),
          ("outlier_dims", lambda a: a.reshape(1, -1)),
          ("means", lambda a: None),
-         ("packed_indices", lambda b: bytes([b[0] ^ 1]) + b[1:]),
+         ("packed_indices", lambda a: np.concatenate([a[:1] ^ np.uint8(1), a[1:]])),
          ("config", lambda c: dataclasses.replace(c, outlier_fraction=0.25)),
          ("shape", lambda s: (s[0] * 2, s[1] // 2))],
         ids=["absmax-dtype", "codebook-dtype", "rows-shape", "dims-shape", "means-none",
@@ -625,4 +626,5 @@ class TestQuantizedTensorEquality:
 
     def test_non_quantized_tensor_operand(self, q):
         assert q.__eq__(q.packed_indices) is NotImplemented
-        assert q != q.packed_indices and q != None and q != vars(q)  # noqa: E711
+        assert np.all(q != q.packed_indices)  # numpy's reflected comparison, element by element
+        assert q != q.packed_indices.tobytes() and q != None and q != vars(q)  # noqa: E711

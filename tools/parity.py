@@ -18,7 +18,8 @@ container among them; `scaling-fit`; and the usage, runtime and format
 errors, NaN and infinite originals of `inspect --against` and scaling
 records among them. A few more cases run each call through `python -m kbitq`
 in a fresh interpreter, so the entry point's own exit is compared too:
-quantize, dequantize, sweep, a usage error and a closed stdout. The inputs
+quantize, dequantize, sweep, a usage error, a closed stdout and a stdout into
+a pipe whose reader has gone. The inputs
 are written by this script, not by kbitq, so both revisions read the same
 bytes.
 
@@ -240,7 +241,8 @@ def battery() -> list[list[list[str]]]:
 
 def fresh_battery() -> list[list[list[str]]]:
     """Cases whose calls each run as `python -m kbitq` in a fresh interpreter; a call that
-    starts with ">&-" runs with its stdout closed, as the shell's `>&-` closes it."""
+    starts with ">&-" runs with its stdout closed, as the shell's `>&-` closes it, and one
+    that starts with "|" writes its stdout into a pipe whose reader has gone."""
     chain = "../inputs/chain.st"
     return [
         [["quantize", chain, "t.kbq", "--outlier-p", "0.05"]],
@@ -248,20 +250,30 @@ def fresh_battery() -> list[list[list[str]]]:
         [["sweep", chain, *SWEEP_144]],
         [["quantize", "t.kbq", "--synthetic", "gaussian", "--bits", "9"]],
         [[">&-", "quantize", chain, "t.kbq"], [">&-", "sweep", chain, "--dtype", "uint"]],
+        [["|", "codebook", "--kind", "int", "--bits", "3"]],
     ]
 
 
 def run_fresh(argv: list[str]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of argv run through `python -m kbitq` in this directory,
     with stdout block-buffered (PYTHONUNBUFFERED unset), as it is by default."""
-    closed = argv[0] == ">&-"
-    command = [sys.executable, "-m", "kbitq", *argv[closed:]]
-    if closed:
+    marked, gone = argv[0] in (">&-", "|"), argv[0] == "|"
+    command = [sys.executable, "-m", "kbitq", *argv[marked:]]
+    if argv[0] == ">&-":
         command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    done = subprocess.run(command, capture_output=True, text=True, env=env)
+    stdout = subprocess.PIPE
+    if gone:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
+        done = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        if gone:
+            os.close(stdout)
     head, sep, trace = done.stderr.partition("Traceback (most recent call last):\n")
-    return done.returncode, done.stdout, head + sep + trace.rstrip("\n").rsplit("\n", 1)[-1]
+    return (done.returncode, done.stdout or "",
+            head + sep + trace.rstrip("\n").rsplit("\n", 1)[-1])
 
 
 def run_here(argv: list[str]) -> tuple[int | str, str, str]:
