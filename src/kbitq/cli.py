@@ -411,14 +411,3 @@ def main(argv=None) -> int:
             return 2
         return 3 if isinstance(exc, DataFormatError) else 1
 
-
-def run() -> None:
-    """Entry point of the console script and `python -m kbitq`: main, then os._exit, with no
-    interpreter teardown. Nothing is in flight once main returns: the pool's tasks are drained,
-    every output is closed and renamed, stdout is flushed, and stderr, line-buffered, holds
-    only whole lines, each written out at its newline."""
-    os._exit(main())
-
-
-if __name__ == "__main__":
-    run()

@@ -439,7 +439,9 @@ def pack_indices(indices, k: int) -> np.ndarray:
 
 def unpack_indices(data: np.ndarray, k: int, count: int) -> np.ndarray:
     """Inverse of pack_indices: recover `count` (at least 0) k-bit indices from data, a 1-D
-    uint8 array, of any strides, that holds at least their ceil(count * k / 8) bytes.
+    uint8 array, of any strides, that holds at least their ceil(count * k / 8) bytes. Any
+    other data, `bytes` or an integer array of another dtype or shape, raises
+    InvalidValueError.
 
     Each k-byte group is loaded into a uint64 lane and the merges undone,
     ranges of lanes on the slab pool.
@@ -447,6 +449,9 @@ def unpack_indices(data: np.ndarray, k: int, count: int) -> np.ndarray:
     _check_bits(k)
     if count < 0:
         raise InvalidValueError(f"cannot unpack a negative count of indices, got {count}")
+    if not (isinstance(data, np.ndarray) and data.ndim == 1 and data.dtype == np.uint8):
+        got = f"{data.dtype} {data.shape}" if isinstance(data, np.ndarray) else type(data).__name__
+        raise InvalidValueError(f"data must be a 1-D uint8 array, got {got}")
     needed = -(-count * k // 8)
     if len(data) < needed:
         raise LengthError(f"need {needed} bytes for {count} {k}-bit indices, got {len(data)}")

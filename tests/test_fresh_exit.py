@@ -1,7 +1,7 @@
 """The entry point ends the process with os._exit, the code marks stop once a book is full,
 and two library arguments are refused at the array boundary.
 
-cli.main writes and flushes stdout itself, and `python -m kbitq` (cli.run) then ends with
+cli.main writes and flushes stdout itself, and `python -m kbitq` (__main__.main) then ends with
 os._exit, skipping the interpreter's teardown. Each command below runs twice, each time in a fresh
 interpreter: through the entry point, and as `sys.exit(cli.main(argv))`. Exit code, stdout, stderr
 and the files the command leaves must be the same, and no `.tmp` sibling may be left behind.

@@ -276,7 +276,7 @@ class TestPacking:
 
     def test_unpack_truncated(self):
         with pytest.raises(LengthError):
-            unpack_indices(b"\x01", 4, 3)
+            unpack_indices(np.frombuffer(b"\x01", np.uint8), 4, 3)
 
     def test_bad_width(self):
         with pytest.raises(PrecisionRangeError):
